@@ -1,333 +1,33 @@
 //! Diagnosis hot-path latency: violation → per-component abnormal-change
-//! findings on a seeded 4-component RUBiS case.
+//! findings on a seeded 4-component RUBiS case, plus the batch and
+//! streaming analysis engines on two daemon scenarios.
 //!
-//! Three variants are timed over the identical precomputed state:
+//! The RUBiS case times the deployed selection pipeline
+//! ([`fchain_core::slave::select_abnormal_changes`]) over identical
+//! precomputed state, once on one thread (`optimized_sequential`) and once
+//! fanned out across components with scoped threads
+//! (`optimized_parallel`), exactly as `SlaveDaemon::analyze_all` does.
 //!
-//! * `pre_pr_sequential` — a faithful copy of the pre-optimization
-//!   pipeline: the allocating CUSUM + bootstrap detector (fresh CUSUM
-//!   vector and fresh shuffle buffer per segment test) and the burst-FFT
-//!   expected-error synthesized *per outlier* with twiddle factors
-//!   recomputed on every transform.
-//! * `optimized_sequential` — the deployed pipeline
-//!   ([`fchain_core::slave::select_abnormal_changes`]) run on one thread:
-//!   prefix-sum CUSUM with one reusable shuffle scratch, cached FFT
-//!   twiddles, loop-invariant expected error.
-//! * `optimized_parallel` — the same pipeline fanned out across
-//!   components with scoped threads, exactly as `SlaveDaemon::analyze_all`
-//!   does.
-//!
-//! Before timing, the baseline and optimized paths are asserted to produce
-//! identical findings. Results (plus the host's available parallelism, so
-//! single-core CI numbers are interpretable) are written to
-//! `BENCH_diagnosis.json` at the repository root.
+//! Before timing, the sequential and parallel paths, and the two engines
+//! on each scenario, are asserted to produce identical findings (the
+//! CUSUM kernel's own bit-identity reference lives in
+//! `fchain-detect`'s tests). Results are written to `BENCH_diagnosis.json`
+//! at the repository root with a host descriptor (core count, CPU model),
+//! and each median is compared with the median of the same id in the
+//! `BENCH_diagnosis.json` found on disk before the run — the committed
+//! baseline — whose host is recorded beside it.
 
 use criterion::{black_box, Criterion};
-use fchain_core::slave::rollback::rollback_onset;
 use fchain_core::slave::{select_abnormal_changes, MetricSample, SlaveDaemon};
 use fchain_core::{AbnormalChange, AnalysisEngine, FChainConfig};
-use fchain_detect::{magnitude_outliers, ChangePoint, CusumConfig, Trend};
 use fchain_eval::case_from_run;
-use fchain_metrics::fft::{next_pow2, Complex};
-use fchain_metrics::{smooth, stats, MetricKind, Tick};
+use fchain_metrics::{MetricKind, Tick};
 use fchain_model::OnlineLearner;
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use serde_json::json;
+use serde_json::{json, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-// ---------------------------------------------------------------------------
-// Pre-PR baseline kernels (verbatim copies of the code this PR replaced).
-// ---------------------------------------------------------------------------
-
-/// The pre-optimization CUSUM + bootstrap detector: materializes the CUSUM
-/// walk in a fresh `Vec` and clones the segment into a fresh shuffle
-/// buffer for every bootstrap test, at every recursion level.
-struct BaselineCusum {
-    config: CusumConfig,
-}
-
-impl BaselineCusum {
-    fn detect(&self, xs: &[f64]) -> Vec<ChangePoint> {
-        let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        let mut found = Vec::new();
-        self.segment(xs, 0, &mut found, &mut rng, 0);
-        found.sort_by_key(|cp| cp.index);
-        found
-    }
-
-    fn segment(
-        &self,
-        xs: &[f64],
-        offset: usize,
-        out: &mut Vec<ChangePoint>,
-        rng: &mut SmallRng,
-        depth: usize,
-    ) {
-        if xs.len() < self.config.min_segment * 2 || out.len() >= self.config.max_change_points {
-            return;
-        }
-        if depth > 24 {
-            return;
-        }
-        let Some((split, confidence)) = self.test_segment(xs, rng) else {
-            return;
-        };
-        if split < self.config.min_segment || xs.len() - split < self.config.min_segment {
-            return;
-        }
-        let before = stats::mean(&xs[..split]);
-        let after = stats::mean(&xs[split..]);
-        let magnitude = (after - before).abs();
-        let direction = if after >= before {
-            Trend::Up
-        } else {
-            Trend::Down
-        };
-        out.push(ChangePoint {
-            index: offset + split,
-            confidence,
-            magnitude,
-            direction,
-        });
-        self.segment(&xs[..split], offset, out, rng, depth + 1);
-        self.segment(&xs[split..], offset + split, out, rng, depth + 1);
-    }
-
-    fn test_segment(&self, xs: &[f64], rng: &mut SmallRng) -> Option<(usize, f64)> {
-        let n = xs.len();
-        let mean = stats::mean(xs);
-        let mut s = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        let mut s_min = f64::INFINITY;
-        let mut s_max = f64::NEG_INFINITY;
-        let mut max_abs_idx = 0;
-        let mut max_abs = -1.0;
-        for (i, &x) in xs.iter().enumerate() {
-            acc += x - mean;
-            s.push(acc);
-            s_min = s_min.min(acc);
-            s_max = s_max.max(acc);
-            if acc.abs() > max_abs {
-                max_abs = acc.abs();
-                max_abs_idx = i;
-            }
-        }
-        let s_diff = s_max - s_min;
-        if s_diff <= f64::EPSILON {
-            return None;
-        }
-        let mut shuffled = xs.to_vec();
-        let mut below = 0usize;
-        for _ in 0..self.config.bootstraps {
-            shuffled.shuffle(rng);
-            let mut acc = 0.0;
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for &x in &shuffled {
-                acc += x - mean;
-                lo = lo.min(acc);
-                hi = hi.max(acc);
-            }
-            if hi - lo < s_diff {
-                below += 1;
-            }
-        }
-        let confidence = below as f64 / self.config.bootstraps as f64;
-        if confidence < self.config.confidence {
-            return None;
-        }
-        Some(((max_abs_idx + 1).min(n - 1), confidence))
-    }
-}
-
-/// The pre-optimization radix-2 transform: twiddle factors recomputed with
-/// a complex multiply chain on every call (no plan, no cache).
-fn baseline_transform(buf: &mut [Complex], inverse: bool) {
-    let n = buf.len();
-    assert!(n.is_power_of_two());
-    if n <= 1 {
-        return;
-    }
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = ((i as u32).reverse_bits() >> (32 - bits)) as usize;
-        if i < j {
-            buf.swap(i, j);
-        }
-    }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::from_polar_unit(ang);
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::from(1.0);
-            for j in 0..len / 2 {
-                let u = buf[i + j];
-                let v = buf[i + j + len / 2] * w;
-                buf[i + j] = u + v;
-                buf[i + j + len / 2] = u - v;
-                w = w * wlen;
-            }
-            i += len;
-        }
-        len <<= 1;
-    }
-}
-
-fn baseline_burst_signal(xs: &[f64], high_fraction: f64) -> Vec<f64> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let n = next_pow2(xs.len());
-    let mut buf: Vec<Complex> = xs.iter().map(|&x| Complex::from(x)).collect();
-    let pad = *xs.last().expect("non-empty");
-    buf.resize(n, Complex::from(pad));
-    baseline_transform(&mut buf, false);
-    let max_freq = n / 2;
-    let cutoff = ((1.0 - high_fraction) * max_freq as f64).floor() as usize;
-    for (i, z) in buf.iter_mut().enumerate() {
-        let freq = i.min(n - i);
-        if freq <= cutoff {
-            *z = Complex::ZERO;
-        }
-    }
-    baseline_transform(&mut buf, true);
-    let scale = n as f64;
-    buf.truncate(xs.len());
-    buf.into_iter().map(|z| z.re / scale).collect()
-}
-
-fn baseline_burst_magnitude(xs: &[f64], high_fraction: f64, percentile: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let burst = baseline_burst_signal(xs, high_fraction);
-    let abs: Vec<f64> = burst.iter().map(|b| b.abs()).collect();
-    stats::percentile(&abs, percentile).unwrap_or(0.0)
-}
-
-fn baseline_adaptive_half(window: &[f64], base: usize) -> usize {
-    let diffs: Vec<f64> = window.windows(2).map(|w| (w[1] - w[0]).abs()).collect();
-    let jitter = stats::percentile(&diffs, 50.0).unwrap_or(0.0);
-    let spread = stats::std_dev(window);
-    if spread <= f64::EPSILON {
-        return 1;
-    }
-    let ratio = jitter / spread;
-    if ratio > 0.5 {
-        (2 * base).max(1)
-    } else if ratio > 0.2 {
-        base.max(1)
-    } else {
-        1
-    }
-}
-
-fn baseline_real_error(errors: &[f64], idx: usize, slack: usize) -> f64 {
-    let lo = idx.saturating_sub(2);
-    let hi = (idx + slack).min(errors.len() - 1);
-    errors[lo..=hi].iter().copied().fold(0.0, f64::max)
-}
-
-fn baseline_expected_error(hist: &[f64], idx: usize, config: &FChainConfig) -> f64 {
-    let q = config.burst_window as usize;
-    let guard = config.smoothing_half + 2;
-    let lo = idx.saturating_sub(2 * q + guard);
-    let hi = idx.saturating_sub(1 + guard).max(lo);
-    config.burst_scale
-        * baseline_burst_magnitude(
-            &hist[lo..=hi.min(hist.len() - 1)],
-            config.high_freq_fraction,
-            config.burst_percentile,
-        )
-}
-
-/// The pre-PR selection flow: identical stage order and thresholds, but
-/// driven by the baseline kernels, with the expected error re-synthesized
-/// for every surviving outlier.
-fn baseline_select(
-    hist: &[f64],
-    errors: &[f64],
-    kind: MetricKind,
-    violation_at: Tick,
-    lookback: u64,
-    config: &FChainConfig,
-) -> Option<AbnormalChange> {
-    let detector = BaselineCusum {
-        config: config.cusum.clone(),
-    };
-    let n = hist.len();
-    if n == 0 || errors.len() != n {
-        return None;
-    }
-    let w = (lookback as usize).min(n.saturating_sub(1));
-    let normal_span_start = config.learner.calibration_samples.min(n.saturating_sub(1));
-    let normal_span_end = n.saturating_sub(w).max(normal_span_start + 1).min(n);
-    let normal_errors = &errors[normal_span_start..normal_span_end];
-    let p90 = stats::percentile(normal_errors, 90.0).unwrap_or(0.0);
-    let p99 = stats::percentile(normal_errors, 99.0).unwrap_or(0.0);
-    let max_normal = stats::max(normal_errors).unwrap_or(0.0);
-    let error_floor = (config.error_floor_scale * p90)
-        .max(1.8 * p99)
-        .max(1.02 * max_normal)
-        .max(1e-9);
-
-    let window_start = n - 1 - w;
-    let window_raw = &hist[window_start..];
-    let half = if config.adaptive_smoothing {
-        baseline_adaptive_half(window_raw, config.smoothing_half)
-    } else {
-        config.smoothing_half
-    };
-    let window_smooth = smooth::moving_average(window_raw, half);
-    let change_points = detector.detect(&window_smooth);
-    if change_points.is_empty() {
-        return None;
-    }
-    let outliers = magnitude_outliers(&change_points, &window_smooth, &config.outlier);
-
-    let anchor = window_start + change_points[0].index;
-    let q2 = 2 * config.burst_window as usize;
-    let head_end = (window_start + q2).min(n - 1);
-    let head = baseline_burst_magnitude(
-        &hist[window_start..=head_end],
-        config.high_freq_fraction,
-        config.burst_percentile,
-    ) * config.burst_scale;
-    let mut abnormal: Vec<(ChangePoint, f64, f64)> = Vec::new();
-    for cp in &outliers {
-        let abs_idx = window_start + cp.index;
-        let real = baseline_real_error(errors, abs_idx, config.error_slack as usize);
-        // Pre-PR: the burst FFT re-ran here for every outlier even though
-        // the anchor (and therefore the result) never changes.
-        let expected = baseline_expected_error(hist, anchor, config)
-            .min(head)
-            .max(error_floor);
-        let sus_hi = (abs_idx + 6).min(errors.len() - 1);
-        let sustained =
-            errors[abs_idx..=sus_hi].iter().sum::<f64>() / (sus_hi - abs_idx + 1) as f64;
-        if real > expected && sustained > 0.4 * expected {
-            abnormal.push((*cp, real, expected));
-        }
-    }
-    let (cp, real, expected) = abnormal.into_iter().min_by_key(|(cp, _, _)| cp.index)?;
-    let onset_idx = rollback_onset(&window_smooth, &change_points, &cp, config.tangent_epsilon);
-    let to_tick = |idx: usize| violation_at.saturating_sub(w as Tick) + idx as Tick;
-    Some(AbnormalChange {
-        metric: kind,
-        change_at: to_tick(cp.index),
-        onset: to_tick(onset_idx),
-        prediction_error: real,
-        expected_error: expected,
-        direction: cp.direction,
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Workload construction and drivers.
@@ -489,7 +189,23 @@ fn build_engine_scenario(
     }
 }
 
+/// The value under `key` when `v` is a JSON object.
+fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
+    let entries = v.as_map()?;
+    entries
+        .iter()
+        .find(|(k, _)| k.as_str() == Some(key))
+        .map(|(_, value)| value)
+}
+
 fn main() {
+    // The committed results, read before this run overwrites them: each
+    // new median is reported against the committed median of its id.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_diagnosis.json");
+    let committed: Value = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::from_str(&text).ok())
+        .unwrap_or(Value::Null);
     let config = FChainConfig::default();
     let lookback = 100u64;
     let run = Simulator::new(RunConfig::new(AppKind::Rubis, FaultKind::CpuHog, 900)).run();
@@ -500,22 +216,14 @@ fn main() {
     drop(case);
     let tasks = build_tasks(violation_at, lookback, &config);
 
-    let new_select = |t: &MetricTask| {
+    let select = |t: &MetricTask| {
         select_abnormal_changes(&t.hist, &t.errors, t.kind, violation_at, lookback, &config)
     };
-    let old_select = |t: &MetricTask| {
-        baseline_select(&t.hist, &t.errors, t.kind, violation_at, lookback, &config)
-    };
 
-    // The optimizations must be pure speedups: all three paths agree on
-    // every finding before any of them is timed.
-    let baseline_findings = run_sequential(&tasks, &old_select);
-    let optimized_findings = run_sequential(&tasks, &new_select);
-    let parallel_findings = run_parallel(&tasks, &new_select);
-    assert_eq!(
-        baseline_findings, optimized_findings,
-        "optimized pipeline diverged from the pre-PR baseline"
-    );
+    // Parallel fan-out must be a pure speedup: both paths agree on every
+    // finding before either is timed.
+    let optimized_findings = run_sequential(&tasks, &select);
+    let parallel_findings = run_parallel(&tasks, &select);
     assert_eq!(
         optimized_findings, parallel_findings,
         "parallel pipeline diverged from the sequential one"
@@ -568,14 +276,11 @@ fn main() {
         .warm_up_time(Duration::from_secs(2))
         .measurement_time(Duration::from_secs(6))
         .configure_from_args();
-    criterion.bench_function("diagnosis_latency/rubis_4c/pre_pr_sequential", |b| {
-        b.iter(|| black_box(run_sequential(black_box(&tasks), &old_select)))
-    });
     criterion.bench_function("diagnosis_latency/rubis_4c/optimized_sequential", |b| {
-        b.iter(|| black_box(run_sequential(black_box(&tasks), &new_select)))
+        b.iter(|| black_box(run_sequential(black_box(&tasks), &select)))
     });
     criterion.bench_function("diagnosis_latency/rubis_4c/optimized_parallel", |b| {
-        b.iter(|| black_box(run_parallel(black_box(&tasks), &new_select)))
+        b.iter(|| black_box(run_parallel(black_box(&tasks), &select)))
     });
     for s in &scenarios {
         let violation_at = s.violation_at;
@@ -598,12 +303,26 @@ fn main() {
             .map(|s| s.median_ns)
             .unwrap_or(f64::NAN)
     };
-    let pre = median("pre_pr_sequential");
     let seq = median("optimized_sequential");
     let par = median("optimized_parallel");
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let committed_median = |id: &str| {
+        let results = field(&committed, "results")?.as_seq()?;
+        let result = results
+            .iter()
+            .find(|r| field(r, "id").and_then(Value::as_str) == Some(id))?;
+        serde_json::from_value::<f64>(field(result, "median_ns")?.clone()).ok()
+    };
+    let baseline: Vec<_> = summaries
+        .iter()
+        .filter_map(|s| {
+            let committed_ns = committed_median(&s.id)?;
+            Some(json!({
+                "id": s.id,
+                "committed_median_ns": committed_ns,
+                "speedup": committed_ns / s.median_ns,
+            }))
+        })
+        .collect();
 
     let engines: Vec<_> = scenarios
         .iter()
@@ -649,10 +368,13 @@ fn main() {
             "violation_at": violation_at,
             "abnormal_components": abnormal_components,
         },
-        "host_parallelism": host_parallelism,
-        "note": "parallel fan-out is across components; with host_parallelism = 1 \
-                 the parallel path degrades to the sequential loop, so the \
-                 parallel-vs-sequential ratio only shows >1 on multi-core hosts",
+        "host": fchain_bench::host_descriptor(),
+        "note": "parallel fan-out is across components; with nproc = 1 the parallel \
+                 path degrades to the sequential loop, so the parallel-vs-sequential \
+                 ratio only shows >1 on multi-core hosts. Speedups against the \
+                 committed baseline compare with the BENCH_diagnosis.json that was \
+                 on disk before this run; they only mean something when \
+                 baseline.host matches host",
         "results": summaries.iter().map(|s| json!({
             "id": s.id,
             "min_ns": s.min_ns,
@@ -663,18 +385,20 @@ fn main() {
             "iters_per_sample": s.iters_per_sample,
         })).collect::<Vec<_>>(),
         "speedup": {
-            "optimized_sequential_vs_pre_pr": pre / seq,
-            "optimized_parallel_vs_pre_pr": pre / par,
+            "optimized_sequential_vs_baseline":
+                committed_median("diagnosis_latency/rubis_4c/optimized_sequential").map(|c| c / seq),
+            "optimized_parallel_vs_baseline":
+                committed_median("diagnosis_latency/rubis_4c/optimized_parallel").map(|c| c / par),
             "parallel_vs_sequential": seq / par,
+        },
+        "baseline": {
+            "host": field(&committed, "host").cloned().unwrap_or(Value::Null),
+            "results": baseline,
         },
         "engines": engines,
     });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_diagnosis.json");
     let rendered = serde_json::to_string_pretty(&payload).expect("serializable payload");
     std::fs::write(path, rendered + "\n").expect("write BENCH_diagnosis.json");
     println!("wrote {path}");
-    println!(
-        "medians: pre-PR {pre:.0} ns, optimized sequential {seq:.0} ns, optimized parallel {par:.0} ns ({}x vs pre-PR)",
-        pre / par
-    );
+    println!("medians: sequential {seq:.0} ns, parallel {par:.0} ns");
 }

@@ -20,6 +20,24 @@ use fchain_sim::{AppKind, FaultKind};
 use serde_json::json;
 use std::io::Write as _;
 
+/// Where a benchmark ran: `nproc` (available parallelism) and the CPU
+/// model from `/proc/cpuinfo` (`"unknown"` off Linux), recorded next to
+/// every published median so numbers from different hosts are not
+/// compared by mistake.
+pub fn host_descriptor() -> serde_json::Value {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    json!({ "nproc": nproc, "cpu_model": cpu_model })
+}
+
 /// Threshold sweep used for the Histogram scheme's ROC curve.
 pub const HISTOGRAM_SWEEP: [f64; 5] = [0.02, 0.05, 0.1, 0.2, 0.4];
 /// Delta sweep used for NetMedic's ROC curve.

@@ -5,6 +5,18 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+/// Bootstrap reshuffles advanced together by one pass of the lane kernel
+/// (see [`CusumDetector::bootstrap`]).
+const LANES: usize = 8;
+
+/// A bootstrap kernel: the number of reshuffles of a segment whose CUSUM
+/// span falls below the original one, or `None` when pruning proved the
+/// segment rejected. Production always runs [`CusumDetector::bootstrap`];
+/// the parameter exists so the tests can drive the same recursion with
+/// the one-reshuffle-at-a-time reference.
+type Kernel =
+    fn(&CusumDetector, &[f64], f64, f64, &mut SmallRng, &mut [f64], bool) -> Option<usize>;
+
 /// Direction of the level shift at a change point.
 ///
 /// The integrated pinpointing step uses per-component trends to detect
@@ -126,7 +138,10 @@ impl CusumDetector {
     ///
     /// `prefix`, `scratch` and `out` are cleared and refilled; holding them
     /// across calls (as [`crate::StreamingCusum`] does) makes repeated
-    /// detection allocation-free after warm-up. The prefix table is rebuilt
+    /// detection allocation-free after warm-up. `scratch` grows to
+    /// `(1 + 8)·xs.len()`: the shuffle buffer followed by the row-major
+    /// `n × 8` lane block the bootstrap advances eight reshuffles at a time
+    /// through. The prefix table is rebuilt
     /// from scratch on every call — accumulating it incrementally across a
     /// sliding window would change the floating-point summation order and
     /// break bit-for-bit parity with [`CusumDetector::detect`].
@@ -137,7 +152,8 @@ impl CusumDetector {
         scratch: &mut Vec<f64>,
         out: &mut Vec<ChangePoint>,
     ) {
-        self.detect_into_inner(xs, prefix, scratch, out, false);
+        let mut rng = SmallRng::seed_from_u64(self.config.seed);
+        self.detect_with(xs, prefix, scratch, out, &mut rng, false, Self::bootstrap);
     }
 
     /// [`CusumDetector::detect_into`] with bootstrap pruning: each
@@ -145,7 +161,10 @@ impl CusumDetector {
     /// when even counting every remaining reshuffle as a success could not
     /// reach the confidence threshold — and fast-forwards the RNG over the
     /// draws the skipped reshuffles would have consumed
-    /// ([`SmallRng::advance`], `O(log n)`).
+    /// ([`SmallRng::advance`], `O(log n)`). The rejection test runs once per
+    /// block of eight reshuffles, so a rejected segment runs at most seven
+    /// more reshuffles than a per-reshuffle test would. The buffers are
+    /// [`CusumDetector::detect_into`]'s, `scratch` included (`(1 + 8)·n`).
     ///
     /// The output is **bit-identical** to [`CusumDetector::detect_into`]:
     /// a pruned segment would have been rejected anyway (the final
@@ -157,7 +176,7 @@ impl CusumDetector {
     /// segment in the recursion sees identical reshuffles. Accepted
     /// segments always run their full bootstrap (their exact confidence is
     /// reported). The streaming analysis engine runs this variant; the
-    /// batch reference keeps the plain loop.
+    /// batch engine runs every reshuffle. Both share one kernel.
     pub fn detect_into_pruned(
         &self,
         xs: &[f64],
@@ -165,18 +184,22 @@ impl CusumDetector {
         scratch: &mut Vec<f64>,
         out: &mut Vec<ChangePoint>,
     ) {
-        self.detect_into_inner(xs, prefix, scratch, out, true);
+        let mut rng = SmallRng::seed_from_u64(self.config.seed);
+        self.detect_with(xs, prefix, scratch, out, &mut rng, true, Self::bootstrap);
     }
 
-    fn detect_into_inner(
+    /// The whole detection on a caller-provided RNG and bootstrap kernel.
+    #[allow(clippy::too_many_arguments)]
+    fn detect_with(
         &self,
         xs: &[f64],
         prefix: &mut Vec<f64>,
         scratch: &mut Vec<f64>,
         out: &mut Vec<ChangePoint>,
+        rng: &mut SmallRng,
         prune: bool,
+        kernel: Kernel,
     ) {
-        let mut rng = SmallRng::seed_from_u64(self.config.seed);
         out.clear();
         if xs.len() < self.config.min_segment * 2 {
             return;
@@ -190,9 +213,16 @@ impl CusumDetector {
             acc += x;
             prefix.push(acc);
         }
-        scratch.clear();
-        scratch.extend_from_slice(xs);
-        self.segment(xs, prefix, 0, xs.len(), out, &mut rng, scratch, 0, prune);
+        // The shuffle buffer, then the n × LANES lane block; the contents
+        // are overwritten before they are read.
+        scratch.resize((1 + LANES) * xs.len(), 0.0);
+        let mut boot = Bootstrap {
+            rng,
+            scratch,
+            prune,
+            kernel,
+        };
+        self.segment(xs, prefix, 0, xs.len(), out, &mut boot, 0);
         out.sort_by_key(|cp| cp.index);
     }
 
@@ -206,10 +236,8 @@ impl CusumDetector {
         lo: usize,
         hi: usize,
         out: &mut Vec<ChangePoint>,
-        rng: &mut SmallRng,
-        scratch: &mut [f64],
+        boot: &mut Bootstrap<'_>,
         depth: usize,
-        prune: bool,
     ) {
         let n = hi - lo;
         if n < self.config.min_segment * 2 || out.len() >= self.config.max_change_points {
@@ -220,8 +248,7 @@ impl CusumDetector {
         if depth > 24 {
             return;
         }
-        let Some((split, confidence)) = self.test_segment(xs, prefix, lo, hi, rng, scratch, prune)
-        else {
+        let Some((split, confidence)) = self.test_segment(xs, prefix, lo, hi, boot) else {
             return;
         };
         if split < self.config.min_segment || n - split < self.config.min_segment {
@@ -241,43 +268,20 @@ impl CusumDetector {
             magnitude,
             direction,
         });
-        self.segment(
-            xs,
-            prefix,
-            lo,
-            lo + split,
-            out,
-            rng,
-            scratch,
-            depth + 1,
-            prune,
-        );
-        self.segment(
-            xs,
-            prefix,
-            lo + split,
-            hi,
-            out,
-            rng,
-            scratch,
-            depth + 1,
-            prune,
-        );
+        self.segment(xs, prefix, lo, lo + split, out, boot, depth + 1);
+        self.segment(xs, prefix, lo + split, hi, out, boot, depth + 1);
     }
 
     /// Taylor's bootstrap test on `xs[lo..hi]`: returns `(split_index,
     /// confidence)` — the split relative to `lo` — when a significant
     /// change exists in the segment.
-    #[allow(clippy::too_many_arguments)]
     fn test_segment(
         &self,
         xs: &[f64],
         prefix: &[f64],
         lo: usize,
         hi: usize,
-        rng: &mut SmallRng,
-        scratch: &mut [f64],
-        prune: bool,
+        boot: &mut Bootstrap<'_>,
     ) -> Option<(usize, f64)> {
         let n = hi - lo;
         let mean = (prefix[hi] - prefix[lo]) / n as f64;
@@ -303,23 +307,67 @@ impl CusumDetector {
         }
         // Bootstrap: how often does a random reordering show a smaller
         // CUSUM span? A real change keeps the original span extreme.
-        let shuffled = &mut scratch[..n];
-        shuffled.copy_from_slice(&xs[lo..hi]);
+        let below = (boot.kernel)(
+            self,
+            &xs[lo..hi],
+            mean,
+            s_diff,
+            boot.rng,
+            boot.scratch,
+            boot.prune,
+        )?;
+        let confidence = below as f64 / self.config.bootstraps as f64;
+        if confidence < self.config.confidence {
+            return None;
+        }
+        // The change is estimated at the extreme of |S|; the new regime
+        // starts on the next sample.
+        Some(((max_abs_idx + 1).min(n - 1), confidence))
+    }
+
+    /// The bootstrap kernel: runs `bootstraps` Fisher–Yates reshuffles of
+    /// `seg` and counts those whose CUSUM span `max S − min S` is below
+    /// `s_diff`.
+    ///
+    /// The reshuffles run in stream order on one buffer, exactly as a
+    /// one-at-a-time loop would, but each permutation is then copied into
+    /// column `l` of the row-major `n × LANES` lane block at
+    /// `scratch[n..]`. Once per block of `LANES` reshuffles (or the tail of
+    /// fewer) [`lane_spans_below`] advances all `LANES` cumulative sums in
+    /// one pass: `LANES` independent add chains instead of one serial
+    /// chain per reshuffle. Each lane adds its permutation in the original
+    /// order, so the count — and every confidence — is bit-identical to the
+    /// one-at-a-time loop.
+    ///
+    /// With `prune`, returns `None` once the block's count proves
+    /// rejection, after fast-forwarding the RNG over the `n − 1` draws of
+    /// each skipped reshuffle.
+    fn bootstrap(
+        &self,
+        seg: &[f64],
+        mean: f64,
+        s_diff: f64,
+        rng: &mut SmallRng,
+        scratch: &mut [f64],
+        prune: bool,
+    ) -> Option<usize> {
+        let n = seg.len();
+        let (shuffled, block) = scratch.split_at_mut(n);
+        let block = &mut block[..n * LANES];
+        shuffled.copy_from_slice(seg);
         let bootstraps = self.config.bootstraps;
         let mut below = 0usize;
-        for done in 1..=bootstraps {
-            shuffled.shuffle(rng);
-            let mut acc = 0.0;
-            let mut span_lo = f64::INFINITY;
-            let mut span_hi = f64::NEG_INFINITY;
-            for &x in shuffled.iter() {
-                acc += x - mean;
-                span_lo = span_lo.min(acc);
-                span_hi = span_hi.max(acc);
+        let mut done = 0usize;
+        while done < bootstraps {
+            let width = LANES.min(bootstraps - done);
+            for lane in 0..width {
+                shuffled.shuffle(rng);
+                for (row, &x) in block.chunks_exact_mut(LANES).zip(shuffled.iter()) {
+                    row[lane] = x;
+                }
             }
-            if span_hi - span_lo < s_diff {
-                below += 1;
-            }
+            below += lane_spans_below(block, width, mean, s_diff);
+            done += width;
             // Rejection-certain pruning: once even a perfect run of
             // remaining successes cannot reach the confidence threshold,
             // the verdict is fixed — fast-forward the RNG over the draws
@@ -334,14 +382,42 @@ impl CusumDetector {
                 return None;
             }
         }
-        let confidence = below as f64 / bootstraps as f64;
-        if confidence < self.config.confidence {
-            return None;
-        }
-        // The change is estimated at the extreme of |S|; the new regime
-        // starts on the next sample.
-        Some(((max_abs_idx + 1).min(n - 1), confidence))
+        Some(below)
     }
+}
+
+/// What the bootstrap of every segment in one detection shares: the RNG
+/// stream, the `(1 + LANES)·n` scratch, the pruning switch and the kernel.
+struct Bootstrap<'a> {
+    rng: &'a mut SmallRng,
+    scratch: &'a mut [f64],
+    prune: bool,
+    kernel: Kernel,
+}
+
+/// One pass over a row-major `n × LANES` lane block: advances the
+/// `LANES` cumulative sums `acc[l] += row[l] - mean` with their running
+/// minima and maxima, and counts the first `width` lanes whose span is
+/// below `s_diff`. Lanes past `width` hold stale data and are ignored.
+///
+/// The running extremes are plain compare-and-select, which compiles to
+/// one `minpd`/`maxpd` each instead of `f64::min`'s NaN-aware sequence.
+/// They agree with `f64::min`/`f64::max` here: a NaN sum leaves the
+/// extreme unchanged in both, the extremes themselves never become NaN,
+/// and the only other difference, the sign of a zero extreme, cannot
+/// change whether `hi - lo < s_diff` for a positive `s_diff`.
+fn lane_spans_below(block: &[f64], width: usize, mean: f64, s_diff: f64) -> usize {
+    let mut acc = [0.0f64; LANES];
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    for row in block.chunks_exact(LANES) {
+        for l in 0..LANES {
+            acc[l] += row[l] - mean;
+            lo[l] = if acc[l] < lo[l] { acc[l] } else { lo[l] };
+            hi[l] = if acc[l] > hi[l] { acc[l] } else { hi[l] };
+        }
+    }
+    (0..width).filter(|&l| hi[l] - lo[l] < s_diff).count()
 }
 
 impl Default for CusumDetector {
@@ -353,6 +429,85 @@ impl Default for CusumDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-reshuffle-at-a-time bootstrap the lane kernel replaced,
+    /// kept as the literal reference: each reshuffle is followed by its own
+    /// serial cumulative sum and, with `prune`, its own rejection test.
+    fn reference_bootstrap(
+        d: &CusumDetector,
+        seg: &[f64],
+        mean: f64,
+        s_diff: f64,
+        rng: &mut SmallRng,
+        scratch: &mut [f64],
+        prune: bool,
+    ) -> Option<usize> {
+        let n = seg.len();
+        let shuffled = &mut scratch[..n];
+        shuffled.copy_from_slice(seg);
+        let bootstraps = d.config.bootstraps;
+        let mut below = 0usize;
+        for done in 1..=bootstraps {
+            shuffled.shuffle(rng);
+            let mut acc = 0.0;
+            let mut span_lo = f64::INFINITY;
+            let mut span_hi = f64::NEG_INFINITY;
+            for &x in shuffled.iter() {
+                acc += x - mean;
+                span_lo = span_lo.min(acc);
+                span_hi = span_hi.max(acc);
+            }
+            if span_hi - span_lo < s_diff {
+                below += 1;
+            }
+            let remaining = bootstraps - done;
+            if prune
+                && remaining > 0
+                && ((below + remaining) as f64 / bootstraps as f64) < d.config.confidence
+            {
+                rng.advance((remaining * (n - 1)) as u64);
+                return None;
+            }
+        }
+        Some(below)
+    }
+
+    /// Change points as raw bits, so equality is bit equality.
+    fn bits(cps: &[ChangePoint]) -> Vec<(usize, u64, u64, Trend)> {
+        cps.iter()
+            .map(|cp| {
+                let (c, m) = (cp.confidence.to_bits(), cp.magnitude.to_bits());
+                (cp.index, c, m, cp.direction)
+            })
+            .collect()
+    }
+
+    /// Asserts that the lane kernel, plain and pruned, reproduces the
+    /// reference on `xs` bit for bit and leaves a shared RNG in the same
+    /// state, and that the public entry points agree with it.
+    pub(super) fn assert_matches_reference(d: &CusumDetector, xs: &[f64]) {
+        let (mut prefix, mut scratch, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let mut run = |prune: bool, kernel: Kernel, rng: &mut SmallRng| {
+            d.detect_with(xs, &mut prefix, &mut scratch, &mut out, rng, prune, kernel);
+            bits(&out)
+        };
+        let fresh = || SmallRng::seed_from_u64(d.config.seed);
+        let mut reference_rng = fresh();
+        let reference = run(false, reference_bootstrap, &mut reference_rng);
+        for prune in [false, true] {
+            let mut rng = fresh();
+            let lanes = run(prune, CusumDetector::bootstrap, &mut rng);
+            assert_eq!(lanes, reference, "prune={prune}: change points differ");
+            assert_eq!(rng, reference_rng, "prune={prune}: RNG end state differs");
+        }
+        let mut pruned_rng = fresh();
+        run(true, reference_bootstrap, &mut pruned_rng);
+        assert_eq!(pruned_rng, reference_rng, "reference pruning moved the RNG");
+        d.detect_into(xs, &mut prefix, &mut scratch, &mut out);
+        assert_eq!(bits(&out), reference, "detect_into differs");
+        d.detect_into_pruned(xs, &mut prefix, &mut scratch, &mut out);
+        assert_eq!(bits(&out), reference, "detect_into_pruned differs");
+    }
 
     fn step(pre: f64, post: f64, at: usize, n: usize) -> Vec<f64> {
         (0..n).map(|i| if i < at { pre } else { post }).collect()
@@ -473,6 +628,18 @@ mod tests {
             d.detect_into_pruned(xs, &mut prefix, &mut scratch, &mut pruned);
             assert_eq!(plain, pruned, "signal {i}: pruning changed the result");
         }
+        // The same signals against the one-at-a-time reference: a single
+        // partial block (1, 7), one full block (8), a full block plus a
+        // tail (9) and the default's 25 full blocks (200).
+        for bootstraps in [1, 7, 8, 9, 200] {
+            let d = CusumDetector::new(CusumConfig {
+                bootstraps,
+                ..CusumConfig::default()
+            });
+            for xs in &signals {
+                assert_matches_reference(&d, xs);
+            }
+        }
     }
 
     #[test]
@@ -531,6 +698,59 @@ mod proptests {
             let cps = CusumDetector::default().detect(&xs);
             prop_assert!(!cps.is_empty());
             prop_assert!(cps.iter().any(|c| (c.index as i64 - at as i64).unsigned_abs() <= 3));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The lane kernel, plain and pruned, equals the one-at-a-time
+        /// reference bit for bit and leaves the shared RNG in the same
+        /// state: over bootstrap counts with and without a tail block,
+        /// segment lengths around `2·min_segment` (and longer), and inputs
+        /// with signed zeros, infinities, NaN and ~1e12 magnitudes.
+        #[test]
+        fn lane_kernel_matches_reference(
+            pick in (0usize..5, 0usize..3, 4usize..9),
+            shape in (proptest::bool::ANY, 0usize..28, 0usize..200),
+            mode in (proptest::bool::ANY, proptest::bool::ANY, 0usize..3),
+            raw in proptest::collection::vec((0u32..64, 0.0f64..100.0), 200..201),
+            jump in (0usize..200, -300.0f64..300.0),
+        ) {
+            let (b, c, min_segment) = pick;
+            let config = CusumConfig {
+                bootstraps: [1, 7, 8, 9, 200][b],
+                confidence: [0.5, 0.8, 0.95][c],
+                min_segment,
+                ..CusumConfig::default()
+            };
+            let (long, near, far) = shape;
+            let len = if long { far } else { (2 * min_segment + near).saturating_sub(4) };
+            let (finite, levels, scale) = mode;
+            let (at, height) = (jump.0 * len / 200, jump.1);
+            let xs: Vec<f64> = raw[..len]
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, x))| {
+                    let x = if i >= at { x + height } else { x };
+                    // A few inexact levels make shuffled spans tie the
+                    // original one up to rounding, where any change in
+                    // summation order flips the `<` count.
+                    let x = if levels { (x / 20.0).floor() * 0.3 + 0.1 } else { x };
+                    // ~1e12 magnitudes: an offset that leaves few bits for
+                    // the signal, or a scale that keeps them all.
+                    let x = [x, 1e12 + x, x * 1e10][scale];
+                    match kind {
+                        0 | 1 => 0.0,
+                        2 | 3 => -0.0,
+                        4 if !finite => f64::INFINITY,
+                        5 if !finite => f64::NEG_INFINITY,
+                        6 if !finite => f64::NAN,
+                        _ => x,
+                    }
+                })
+                .collect();
+            tests::assert_matches_reference(&CusumDetector::new(config), &xs);
         }
     }
 }

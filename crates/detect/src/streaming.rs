@@ -35,6 +35,10 @@ use std::collections::VecDeque;
 ///   detector scratch is reused. This is how the streaming analysis
 ///   engine runs CUSUM over the smoothed look-back window.
 ///
+/// The detector scratch grows to `(1 + 8)·n` samples for the largest
+/// window `n` queried so far — the shuffle buffer plus the `n × 8` lane
+/// block of the bootstrap kernel — and is then reused by every query.
+///
 /// # Examples
 ///
 /// ```
