@@ -19,7 +19,7 @@
 
 use criterion::{black_box, Criterion};
 use fchain_core::slave::{select_abnormal_changes, MetricSample, SlaveDaemon};
-use fchain_core::{AbnormalChange, AnalysisEngine, FChainConfig};
+use fchain_core::{AbnormalChange, AnalysisEngine, CollectRequest, FChainConfig};
 use fchain_eval::case_from_run;
 use fchain_metrics::{MetricKind, Tick};
 use fchain_model::OnlineLearner;
@@ -257,8 +257,13 @@ fn main() {
         ),
     ];
     for s in &scenarios {
-        let batch_findings = s.batch.analyze_all_sequential(s.violation_at);
-        let streaming_findings = s.streaming.analyze_all_sequential(s.violation_at);
+        let reference = CollectRequest {
+            violation_at: s.violation_at,
+            sequential: true,
+            ..CollectRequest::default()
+        };
+        let batch_findings = s.batch.analyze_all(&reference);
+        let streaming_findings = s.streaming.analyze_all(&reference);
         assert_eq!(
             batch_findings, streaming_findings,
             "{}: engines diverge before timing",
@@ -283,14 +288,17 @@ fn main() {
         b.iter(|| black_box(run_parallel(black_box(&tasks), &select)))
     });
     for s in &scenarios {
-        let violation_at = s.violation_at;
+        let request = CollectRequest {
+            violation_at: s.violation_at,
+            ..CollectRequest::default()
+        };
         criterion.bench_function(
             &format!("diagnosis_latency/engines/{}/batch", s.label),
-            |b| b.iter(|| black_box(s.batch.analyze_all(black_box(violation_at)))),
+            |b| b.iter(|| black_box(s.batch.analyze_all(black_box(&request)))),
         );
         criterion.bench_function(
             &format!("diagnosis_latency/engines/{}/streaming", s.label),
-            |b| b.iter(|| black_box(s.streaming.analyze_all(black_box(violation_at)))),
+            |b| b.iter(|| black_box(s.streaming.analyze_all(black_box(&request)))),
         );
     }
     criterion.final_summary();

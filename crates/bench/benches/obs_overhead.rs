@@ -14,10 +14,10 @@
 //! by more than 5%.
 
 use criterion::{black_box, Criterion};
-use fchain_core::master::Master;
 use fchain_core::slave::{MetricSample, SlaveDaemon};
-use fchain_core::FChainConfig;
+use fchain_core::{FChainConfig, FleetMaster};
 use fchain_eval::case_from_run;
+use fchain_metrics::AppId;
 use fchain_metrics::MetricKind;
 use fchain_obs as obs;
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
@@ -30,7 +30,7 @@ const MAX_OVERHEAD_RATIO: f64 = 1.05;
 
 /// Wires the standard two-host master from the seeded RUBiS CpuHog run
 /// (the same construction as tests/determinism.rs).
-fn seeded_master() -> (Master, u64) {
+fn seeded_master() -> (FleetMaster, AppId, u64) {
     let run = Simulator::new(RunConfig::new(AppKind::Rubis, FaultKind::CpuHog, 900)).run();
     let case = case_from_run(&run, 100).expect("seeded RUBiS run must produce a violation");
     let hosts: Vec<Arc<SlaveDaemon>> = (0..2)
@@ -49,14 +49,15 @@ fn seeded_master() -> (Master, u64) {
             }
         }
     }
-    let mut master = Master::new(FChainConfig::default());
+    let mut master = FleetMaster::new(FChainConfig::default());
+    let app = master.add_tenant("default");
     for host in hosts {
-        master.register_slave(host);
+        master.register_slave(app, host);
     }
     if let Some(deps) = case.discovered_deps.clone() {
-        master.set_dependencies(deps);
+        master.set_dependencies(app, deps);
     }
-    (master, case.violation_at)
+    (master, app, case.violation_at)
 }
 
 fn main() {
@@ -64,14 +65,14 @@ fn main() {
         obs::enabled(),
         "this bench must be built with the obs feature (instrumentation compiled in)"
     );
-    let (master, violation_at) = seeded_master();
+    let (master, app, violation_at) = seeded_master();
 
     // Instrumentation must be observation only: the same diagnosis with
     // recording on and off produces the same report.
     obs::set_enabled(true);
-    let instrumented_report = master.on_violation(violation_at);
+    let instrumented_report = master.diagnose(app, violation_at);
     obs::set_enabled(false);
-    let uninstrumented_report = master.on_violation(violation_at);
+    let uninstrumented_report = master.diagnose(app, violation_at);
     assert_eq!(
         instrumented_report, uninstrumented_report,
         "recording switch changed the diagnosis payload"
@@ -88,11 +89,11 @@ fn main() {
         .configure_from_args();
     obs::set_enabled(false);
     criterion.bench_function("obs_overhead/rubis_4c/uninstrumented", |b| {
-        b.iter(|| black_box(master.on_violation(black_box(violation_at))))
+        b.iter(|| black_box(master.diagnose(app, black_box(violation_at))))
     });
     obs::set_enabled(true);
     criterion.bench_function("obs_overhead/rubis_4c/instrumented", |b| {
-        b.iter(|| black_box(master.on_violation(black_box(violation_at))))
+        b.iter(|| black_box(master.diagnose(app, black_box(violation_at))))
     });
     criterion.final_summary();
 

@@ -2,10 +2,10 @@
 
 use crate::args::Args;
 use fchain_baselines::{DependencyScheme, HistogramScheme, NetMedic, Pal, TopologyScheme};
-use fchain_core::master::Master;
 use fchain_core::slave::{MetricSample, SlaveDaemon};
 use fchain_core::{
-    AnalysisEngine, FChain, FChainConfig, Localizer, PipelineSnapshot, Transport, Verdict,
+    validate_pinpointing, AnalysisEngine, FChain, FChainConfig, FleetMaster, Localizer,
+    PipelineSnapshot, Transport, Verdict,
 };
 use fchain_eval::{case_from_run, render, Campaign, DegradedCampaign, FleetCampaign, OracleProbe};
 use fchain_metrics::MetricKind;
@@ -172,7 +172,7 @@ fn spawn_fchaind(
 /// spawn one `fchaind` OS process per `--hosts`, stream the case's
 /// metrics to them over the wire, fan the master out over the sockets,
 /// then tear the daemons down. The report must match an in-process
-/// `Master` + `SlaveDaemon` deployment bit for bit (the pin in
+/// `FleetMaster` + `SlaveDaemon` deployment bit for bit (the pin in
 /// tests/determinism.rs); the sockets add latency, never meaning. The
 /// default `fchain diagnose` runs the case-based convenience pipeline
 /// instead, which pinpoints identically but can surface different
@@ -231,14 +231,18 @@ fn diagnose_remote(
         }
     }
 
-    let mut master = Master::new(config);
+    let mut master = FleetMaster::new(config);
+    let tenant = master.add_tenant("default");
     for remote in &remotes {
-        master.register_slave(Arc::clone(remote) as Arc<dyn fchain_core::SlaveEndpoint>);
+        master.register_slave(
+            tenant,
+            Arc::clone(remote) as Arc<dyn fchain_core::SlaveEndpoint>,
+        );
     }
     if let Some(deps) = case.discovered_deps.clone() {
-        master.set_dependencies(deps);
+        master.set_dependencies(tenant, deps);
     }
-    let report = master.on_violation(case.violation_at);
+    let report = master.diagnose(tenant, case.violation_at);
 
     // Clean teardown: shutdown frame, then reap each child.
     for remote in &remotes {
@@ -761,16 +765,20 @@ pub fn obs(args: &Args) -> CliResult {
             }
         }
     }
-    let mut master = Master::new(config);
+    let mut master = FleetMaster::new(config);
+    let tenant = master.add_tenant("default");
     for host in hosts {
-        master.register_slave(host);
+        master.register_slave(tenant, host);
     }
     if let Some(deps) = case.discovered_deps.clone() {
-        master.set_dependencies(deps);
+        master.set_dependencies(tenant, deps);
     }
-    let mut probe = OracleProbe::new(&run.oracle);
-    let report = master.on_violation_validated_observed(case.violation_at, &mut probe);
-    let snapshot = report.snapshot.clone().unwrap_or_default();
+    // This diagnosis's own stage timings and counters: the delta of the
+    // process-global registry around diagnosis plus validation.
+    let before = obs::snapshot();
+    let mut report = master.diagnose(tenant, case.violation_at);
+    validate_pinpointing(&mut report, &mut OracleProbe::new(&run.oracle));
+    let snapshot = obs::snapshot().delta_since(&before).labeled("default");
     write_obs_json(args, &snapshot)?;
 
     if args.has("json") {

@@ -163,7 +163,7 @@ impl FChain {
         probe: &mut dyn ValidationProbe,
     ) -> DiagnosisReport {
         let mut report = self.diagnose(case);
-        validate_pinpointing(&mut report, probe, 2);
+        validate_pinpointing(&mut report, probe);
         report
     }
 }

@@ -581,10 +581,12 @@ mod tests {
         assert_eq!(stats.enqueued, 1200 * 4 * 6);
         assert_eq!(stats.applied, stats.enqueued);
         assert_eq!(stats.lost(), 0);
-        assert_eq!(
-            served.analyze_all_sequential(1190),
-            direct.analyze_all_sequential(1190)
-        );
+        let request = crate::CollectRequest {
+            violation_at: 1190,
+            sequential: true,
+            ..Default::default()
+        };
+        assert_eq!(served.analyze_all(&request), direct.analyze_all(&request));
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! in-process case — and [`FaultySlave`] wraps any endpoint with an
 //! injected fault so the degraded-mode fan-out can be exercised and
 //! tested deterministically.
+//!
+//! Whatever the transport, a collect asks one question, described by one
+//! [`CollectRequest`]: the in-process endpoints hand it to
+//! [`SlaveDaemon::analyze_all`], and the wire protocol carries it as the
+//! collect frame's payload.
 
 use crate::report::ComponentFinding;
 use crate::slave::SlaveDaemon;
@@ -16,6 +21,42 @@ use fchain_metrics::{AppId, ComponentId, Tick};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// One collect: analyze the look-back window `[t_v − W, t_v]` ending at
+/// `violation_at` on one slave host (paper §II.C, "the FChain master first
+/// contacts the slaves on all related distributed hosts").
+///
+/// # Examples
+///
+/// ```
+/// use fchain_core::slave::SlaveDaemon;
+/// use fchain_core::{CollectRequest, FChainConfig};
+///
+/// let daemon = SlaveDaemon::new(FChainConfig::default());
+/// let request = CollectRequest {
+///     app: None,
+///     violation_at: 990,
+///     lookback: None,
+///     sequential: false,
+/// };
+/// assert!(daemon.analyze_all(&request).is_empty(), "nothing monitored yet");
+/// ```
+///
+/// The default request asks about the whole daemon at the configured
+/// window on the parallel path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CollectRequest {
+    /// Tenant scope: `None` analyzes every shard the daemon holds (the
+    /// single-application view), `Some` only that tenant's shards.
+    pub app: Option<AppId>,
+    /// End of the look-back window.
+    pub violation_at: Tick,
+    /// Per-call window override; `None` uses the daemon's configured `W`.
+    pub lookback: Option<u64>,
+    /// Run the reference single-threaded analysis instead of the
+    /// parallel one; both return identical findings.
+    pub sequential: bool,
+}
 
 /// Why a slave failed to answer a findings request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,11 +133,21 @@ impl SlaveEndpoint for SlaveDaemon {
     }
 
     fn collect(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self.analyze_all(violation_at))
+        Ok(self.analyze_all(&CollectRequest {
+            app: None,
+            violation_at,
+            lookback: None,
+            sequential: false,
+        }))
     }
 
     fn collect_sequential(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self.analyze_all_sequential(violation_at))
+        Ok(self.analyze_all(&CollectRequest {
+            app: None,
+            violation_at,
+            lookback: None,
+            sequential: true,
+        }))
     }
 
     fn collect_with_lookback(
@@ -104,7 +155,12 @@ impl SlaveEndpoint for SlaveDaemon {
         violation_at: Tick,
         lookback: u64,
     ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self.analyze_all_windowed(violation_at, lookback))
+        Ok(self.analyze_all(&CollectRequest {
+            app: None,
+            violation_at,
+            lookback: Some(lookback),
+            sequential: false,
+        }))
     }
 
     fn collect_sequential_with_lookback(
@@ -112,7 +168,12 @@ impl SlaveEndpoint for SlaveDaemon {
         violation_at: Tick,
         lookback: u64,
     ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self.analyze_all_sequential_windowed(violation_at, lookback))
+        Ok(self.analyze_all(&CollectRequest {
+            app: None,
+            violation_at,
+            lookback: Some(lookback),
+            sequential: true,
+        }))
     }
 }
 
@@ -167,13 +228,21 @@ impl SlaveEndpoint for TenantSlave {
     }
 
     fn collect(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self.daemon.analyze_all_for(self.app, violation_at))
+        Ok(self.daemon.analyze_all(&CollectRequest {
+            app: Some(self.app),
+            violation_at,
+            lookback: None,
+            sequential: false,
+        }))
     }
 
     fn collect_sequential(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self
-            .daemon
-            .analyze_all_sequential_for(self.app, violation_at))
+        Ok(self.daemon.analyze_all(&CollectRequest {
+            app: Some(self.app),
+            violation_at,
+            lookback: None,
+            sequential: true,
+        }))
     }
 
     fn collect_with_lookback(
@@ -181,9 +250,12 @@ impl SlaveEndpoint for TenantSlave {
         violation_at: Tick,
         lookback: u64,
     ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self
-            .daemon
-            .analyze_all_for_windowed(self.app, violation_at, lookback))
+        Ok(self.daemon.analyze_all(&CollectRequest {
+            app: Some(self.app),
+            violation_at,
+            lookback: Some(lookback),
+            sequential: false,
+        }))
     }
 
     fn collect_sequential_with_lookback(
@@ -191,9 +263,12 @@ impl SlaveEndpoint for TenantSlave {
         violation_at: Tick,
         lookback: u64,
     ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self
-            .daemon
-            .analyze_all_sequential_for_windowed(self.app, violation_at, lookback))
+        Ok(self.daemon.analyze_all(&CollectRequest {
+            app: Some(self.app),
+            violation_at,
+            lookback: Some(lookback),
+            sequential: true,
+        }))
     }
 }
 
@@ -460,7 +535,7 @@ mod tests {
         let daemon = daemon_with_step(940);
         // The slave lost the last 60 ticks: it analyzes as of t=930,
         // before the fault manifested, so the finding is clean.
-        let stale = daemon.analyze_all(930);
+        let stale = daemon.collect(930).unwrap();
         let wrapped = FaultySlave::new(daemon, SlaveFault::PartialWindow { missing_ticks: 60 });
         assert_eq!(wrapped.collect(990), Ok(stale));
     }

@@ -1,4 +1,12 @@
-//! The fleet layer: one master serving many tenant applications.
+//! The FChain master: the Fig. 1 deployment wired together, for one
+//! application or a fleet of them.
+//!
+//! "FChain is decentralized consisting of a set of slave modules ... and
+//! master modules ... The slave modules run inside the domain 0 of
+//! different cloud nodes while the master modules run on dedicated
+//! servers. ... When a performance anomaly is detected, the FChain master
+//! is invoked ... The FChain master first contacts the slaves on all
+//! related distributed hosts."
 //!
 //! The paper deploys one FChain master per application (§II, Fig. 1). A
 //! cloud operator runs FChain for a *fleet*: many applications share the
@@ -10,15 +18,46 @@
 //! a tenant whose slaves are crashed or stalled burns its *own* deadline
 //! budget without delaying anyone else's diagnosis.
 //!
-//! The single-application [`crate::master::Master`] is a thin wrapper
-//! over a fleet of one; its reports are bit-identical to the per-tenant
-//! reports this layer produces.
+//! The paper's single-application deployment is a fleet of one: one
+//! tenant (named `"default"` by the CLI, the examples and the tests)
+//! with every host's [`crate::slave::SlaveDaemon`] registered under it.
+//!
+//! ```
+//! use fchain_core::master::FleetMaster;
+//! use fchain_core::slave::{MetricSample, SlaveDaemon};
+//! use fchain_core::FChainConfig;
+//! use fchain_metrics::{ComponentId, MetricKind};
+//! use std::sync::Arc;
+//!
+//! let slave = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+//! let mut master = FleetMaster::new(FChainConfig::default());
+//! let app = master.add_tenant("default");
+//! master.register_slave(app, slave.clone());
+//!
+//! // The slave monitors one component whose CPU jumps at t = 940.
+//! for t in 0..1000u64 {
+//!     for kind in MetricKind::ALL {
+//!         let normal = 40.0 + ((t * (kind.index() as u64 + 2)) % 5) as f64;
+//!         let value = if kind == MetricKind::Cpu && t >= 940 { normal + 50.0 } else { normal };
+//!         slave.ingest(MetricSample { tick: t, component: ComponentId(0), kind, value });
+//!     }
+//! }
+//! let report = master.diagnose(app, 990);
+//! assert_eq!(report.pinpointed, vec![ComponentId(0)]);
+//! assert!(report.coverage.is_complete());
+//! ```
+//!
+//! Unlike the paper's testbed, the fan-out does not assume the slaves are
+//! healthy: each slave gets a bounded number of retries for transient
+//! errors, a per-slave response deadline abandons stragglers
+//! ([`crate::FChainConfig::slave_deadline_ms`]), and the report carries
+//! [`crate::DiagnosisCoverage`] so a clean verdict can be told from a
+//! partial one.
 
 use crate::config::FChainConfig;
-use crate::master::endpoint::{splitmix64, SlaveEndpoint, SlaveError};
+use crate::master::endpoint::{splitmix64, CollectRequest, SlaveEndpoint, SlaveError};
 use crate::master::ensemble::{ensemble_pinpoint, EnsembleInput};
 use crate::master::pinpoint::{pinpoint, PinpointInput};
-use crate::master::validation::{validate_pinpointing, ValidationProbe};
 use crate::report::{ComponentFinding, DiagnosisCoverage, DiagnosisReport, SlaveStatus};
 use fchain_deps::DependencyGraph;
 use fchain_metrics::{AppId, AppRegistry, ComponentId, Tick};
@@ -45,8 +84,8 @@ pub struct FleetReport {
     pub app: AppId,
     /// The violation the diagnosis answered.
     pub violation_at: Tick,
-    /// The per-tenant diagnosis — bit-identical to what a single-app
-    /// [`crate::master::Master`] with the same slaves would produce.
+    /// The per-tenant diagnosis — bit-identical to a standalone
+    /// [`FleetMaster::diagnose`] of the same violation.
     pub report: DiagnosisReport,
     /// Violation-to-report latency: wall-clock from the start of the
     /// drain to this report's completion. Provenance, like
@@ -111,14 +150,14 @@ impl TenantState {
 
     /// One slave queried with bounded retry: transient errors are retried
     /// up to `slave_retries` times with doubling backoff; unreachable
-    /// hosts fail fast.
+    /// hosts fail fast. The endpoint supplies the tenant scope (each one
+    /// is bound to its daemon and tenant when registered), so only the
+    /// window and the path of `request` reach it.
     fn query_with_retry(
         slave: &dyn SlaveEndpoint,
-        violation_at: Tick,
-        lookback: Option<u64>,
+        request: &CollectRequest,
         retries: u32,
         backoff: Duration,
-        sequential: bool,
     ) -> SlaveOutcome {
         for attempt in 0..=retries {
             obs::count(obs::Counter::SlaveQueries, 1);
@@ -126,11 +165,12 @@ impl TenantState {
                 obs::count(obs::Counter::SlaveRetries, 1);
             }
             let rpc_span = obs::time(obs::Stage::SlaveRpc);
-            let result = match (sequential, lookback) {
-                (true, None) => slave.collect_sequential(violation_at),
-                (false, None) => slave.collect(violation_at),
-                (true, Some(w)) => slave.collect_sequential_with_lookback(violation_at, w),
-                (false, Some(w)) => slave.collect_with_lookback(violation_at, w),
+            let t = request.violation_at;
+            let result = match (request.sequential, request.lookback) {
+                (true, None) => slave.collect_sequential(t),
+                (false, None) => slave.collect(t),
+                (true, Some(w)) => slave.collect_sequential_with_lookback(t, w),
+                (false, Some(w)) => slave.collect_with_lookback(t, w),
             };
             drop(rpc_span);
             match result {
@@ -162,39 +202,32 @@ impl TenantState {
         }
     }
 
-    /// The violation fan-out: every slave queried (in parallel unless
-    /// `sequential`), stragglers abandoned at the deadline, per-slave
-    /// outcomes assembled into findings + coverage.
+    /// The violation fan-out: every slave queried (in parallel unless the
+    /// request is `sequential`), stragglers abandoned at the deadline,
+    /// per-slave outcomes assembled into findings + coverage.
     ///
     /// The sequential reference enforces the *same* per-slave deadline by
     /// timing each call and discarding late answers, so for a given fault
     /// schedule (with latencies well clear of the deadline) both paths
-    /// produce bit-identical reports — only wall-clock differs.
-    fn fan_out(
-        &self,
-        violation_at: Tick,
-        sequential: bool,
-        lookback: Option<u64>,
-    ) -> (Vec<ComponentFinding>, DiagnosisCoverage) {
+    /// produce bit-identical reports — only wall-clock differs. A lone
+    /// slave skips the worker thread only when no deadline is set: under
+    /// a deadline the diagnosis must return on time, not merely discard
+    /// the straggler's answer once it finally arrives.
+    fn fan_out(&self, request: &CollectRequest) -> (Vec<ComponentFinding>, DiagnosisCoverage) {
         let _fan_out_span = obs::time(obs::Stage::MasterFanOut);
         let retries = self.config.slave_retries;
         let backoff = Duration::from_millis(self.config.slave_backoff_ms);
         let deadline = (self.config.slave_deadline_ms > 0)
             .then(|| Duration::from_millis(self.config.slave_deadline_ms));
 
-        let outcomes: Vec<SlaveOutcome> = if sequential || self.slaves.len() <= 1 {
+        let inline = request.sequential || (self.slaves.len() <= 1 && deadline.is_none());
+        let outcomes: Vec<SlaveOutcome> = if inline {
             self.slaves
                 .iter()
                 .map(|slave| {
                     let started = Instant::now();
-                    let mut outcome = Self::query_with_retry(
-                        slave.as_ref(),
-                        violation_at,
-                        lookback,
-                        retries,
-                        backoff,
-                        sequential,
-                    );
+                    let mut outcome =
+                        Self::query_with_retry(slave.as_ref(), request, retries, backoff);
                     if let Some(budget) = deadline {
                         if started.elapsed() > budget && outcome.status.answered() {
                             // The answer arrived past the deadline; the
@@ -209,7 +242,7 @@ impl TenantState {
                 })
                 .collect()
         } else {
-            self.fan_out_parallel(violation_at, retries, backoff, deadline, lookback)
+            self.fan_out_parallel(request, retries, backoff, deadline)
         };
 
         let total = outcomes.len();
@@ -263,25 +296,18 @@ impl TenantState {
     /// fault localizer whose own probe faults.
     fn fan_out_parallel(
         &self,
-        violation_at: Tick,
+        request: &CollectRequest,
         retries: u32,
         backoff: Duration,
         deadline: Option<Duration>,
-        lookback: Option<u64>,
     ) -> Vec<SlaveOutcome> {
         let (tx, rx) = mpsc::channel::<(usize, SlaveOutcome)>();
         for (i, slave) in self.slaves.iter().enumerate() {
             let slave = Arc::clone(slave);
             let tx = tx.clone();
+            let request = *request;
             std::thread::spawn(move || {
-                let outcome = Self::query_with_retry(
-                    slave.as_ref(),
-                    violation_at,
-                    lookback,
-                    retries,
-                    backoff,
-                    false,
-                );
+                let outcome = Self::query_with_retry(slave.as_ref(), &request, retries, backoff);
                 // The receiver may have given up on us already.
                 let _ = tx.send((i, outcome));
             });
@@ -318,16 +344,6 @@ impl TenantState {
             .collect()
     }
 
-    /// Full diagnosis on an SLO violation.
-    fn on_violation(&self, violation_at: Tick) -> DiagnosisReport {
-        self.diagnose_with_lookback_retry(violation_at, false)
-    }
-
-    /// Reference single-threaded diagnosis.
-    fn on_violation_sequential(&self, violation_at: Tick) -> DiagnosisReport {
-        self.diagnose_with_lookback_retry(violation_at, true)
-    }
-
     /// The diagnosis plus the [`LookbackRetry`] policy: when the first
     /// diagnosis pinpoints nothing — the window-edge recall hole, where
     /// a slow fault's onset predates `t_v − W` and whatever changes the
@@ -341,12 +357,14 @@ impl TenantState {
     ///
     /// With the knob off (the default) the first diagnosis is returned
     /// untouched, byte-identical to the pre-knob pipeline.
-    fn diagnose_with_lookback_retry(
-        &self,
-        violation_at: Tick,
-        sequential: bool,
-    ) -> DiagnosisReport {
-        let (findings, coverage) = self.fan_out(violation_at, sequential, self.lookback());
+    fn diagnose(&self, violation_at: Tick, sequential: bool) -> DiagnosisReport {
+        let request = CollectRequest {
+            app: None, // every endpoint is already scoped to its tenant
+            violation_at,
+            lookback: self.lookback(),
+            sequential,
+        };
+        let (findings, coverage) = self.fan_out(&request);
         let first = self.report_from_findings(findings, coverage);
         if !self.config.lookback_retry.enabled() || !first.pinpointed.is_empty() {
             return first;
@@ -357,7 +375,10 @@ impl TenantState {
             return first;
         }
         obs::count(obs::Counter::LookbackRetryWidened, 1);
-        let (findings, coverage) = self.fan_out(violation_at, sequential, Some(widened));
+        let (findings, coverage) = self.fan_out(&CollectRequest {
+            lookback: Some(widened),
+            ..request
+        });
         let second = self.report_from_findings(findings, coverage);
         if second.pinpointed.is_empty() {
             first
@@ -632,68 +653,20 @@ impl FleetMaster {
         }
     }
 
-    /// Collects one tenant's merged findings for the look-back window
-    /// ending at `violation_at`.
-    pub fn collect_findings(&self, app: AppId, violation_at: Tick) -> Vec<ComponentFinding> {
-        self.with_tenant(app, |t| t.fan_out(violation_at, false, t.lookback()).0)
-    }
-
     /// Full diagnosis of one tenant's SLO violation (parallel fan-out).
+    ///
+    /// Online pinpointing validation is a separate step on the returned
+    /// report ([`crate::validate_pinpointing`]); the report's
+    /// [`DiagnosisReport::snapshot`] is left for the caller to fill.
     pub fn diagnose(&self, app: AppId, violation_at: Tick) -> DiagnosisReport {
-        self.with_tenant(app, |t| t.on_violation(violation_at))
+        self.with_tenant(app, |t| t.diagnose(violation_at, false))
     }
 
     /// Reference single-threaded diagnosis of one tenant's violation;
     /// bit-identical to [`FleetMaster::diagnose`] for the same state and
     /// fault schedule.
     pub fn diagnose_sequential(&self, app: AppId, violation_at: Tick) -> DiagnosisReport {
-        self.with_tenant(app, |t| t.on_violation_sequential(violation_at))
-    }
-
-    /// Diagnosis followed by online pinpointing validation.
-    pub fn diagnose_validated(
-        &self,
-        app: AppId,
-        violation_at: Tick,
-        probe: &mut dyn ValidationProbe,
-    ) -> DiagnosisReport {
-        let mut report = self.diagnose(app, violation_at);
-        validate_pinpointing(&mut report, probe, 2);
-        report
-    }
-
-    /// Like [`FleetMaster::diagnose`], but the report carries a
-    /// [`fchain_obs::PipelineSnapshot`] of exactly this diagnosis's stage
-    /// timings and counters, labeled with the tenant's name. The payload
-    /// is identical to the unobserved report — snapshots are excluded
-    /// from report equality.
-    pub fn diagnose_observed(&self, app: AppId, violation_at: Tick) -> DiagnosisReport {
-        let before = obs::snapshot();
-        let mut report = self.diagnose(app, violation_at);
-        let delta = obs::snapshot().delta_since(&before);
-        report.snapshot = Some(match self.tenant_name(app) {
-            Some(name) => delta.labeled(name),
-            None => delta,
-        });
-        report
-    }
-
-    /// [`FleetMaster::diagnose_validated`] with the diagnosis's own
-    /// labeled [`fchain_obs::PipelineSnapshot`] attached.
-    pub fn diagnose_validated_observed(
-        &self,
-        app: AppId,
-        violation_at: Tick,
-        probe: &mut dyn ValidationProbe,
-    ) -> DiagnosisReport {
-        let before = obs::snapshot();
-        let mut report = self.diagnose_validated(app, violation_at, probe);
-        let delta = obs::snapshot().delta_since(&before);
-        report.snapshot = Some(match self.tenant_name(app) {
-            Some(name) => delta.labeled(name),
-            None => delta,
-        });
-        report
+        self.with_tenant(app, |t| t.diagnose(violation_at, true))
     }
 
     /// The deterministic drain order for a batch of concurrent
@@ -733,6 +706,21 @@ impl FleetMaster {
     /// order, each bit-identical to a standalone
     /// [`FleetMaster::diagnose`] of the same violation.
     pub fn on_violations(&self, violations: &[FleetViolation]) -> Vec<FleetReport> {
+        self.drain(violations, false)
+    }
+
+    /// Reference single-threaded drain: the same schedule executed one
+    /// violation at a time with the sequential fan-out. Bit-identical to
+    /// [`FleetMaster::on_violations`] for the same state and fault
+    /// schedule (with latencies well clear of the deadlines).
+    pub fn on_violations_sequential(&self, violations: &[FleetViolation]) -> Vec<FleetReport> {
+        self.drain(violations, true)
+    }
+
+    /// The one drain body: lanes run concurrently unless `sequential` or
+    /// only one tenant has violations, in which case the schedule runs
+    /// inline.
+    fn drain(&self, violations: &[FleetViolation], sequential: bool) -> Vec<FleetReport> {
         let _span = obs::time(obs::Stage::FleetDrain);
         let order = self.schedule(violations);
         obs::count(obs::Counter::FleetViolations, order.len() as u64);
@@ -746,69 +734,32 @@ impl FleetMaster {
         obs::count(obs::Counter::FleetLanes, lanes.len() as u64);
 
         let started = Instant::now();
-        let mut reports: Vec<Option<FleetReport>> = Vec::new();
-        if lanes.len() <= 1 {
-            reports = order
-                .iter()
-                .map(|v| {
-                    Some(FleetReport {
-                        app: v.app,
-                        violation_at: v.violation_at,
-                        report: self.diagnose(v.app, v.violation_at),
-                        latency: started.elapsed(),
-                    })
-                })
-                .collect();
-        } else {
-            let slots: Vec<Mutex<Option<FleetReport>>> =
-                order.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for positions in lanes.values() {
-                    let order = &order;
-                    let slots = &slots;
-                    scope.spawn(move || {
-                        for &pos in positions {
-                            let v = order[pos];
-                            let report = self.diagnose(v.app, v.violation_at);
-                            *slots[pos].lock() = Some(FleetReport {
-                                app: v.app,
-                                violation_at: v.violation_at,
-                                report,
-                                latency: started.elapsed(),
-                            });
-                        }
-                    });
-                }
-            });
-            reports.extend(slots.into_iter().map(Mutex::into_inner));
+        let diagnose = |v: FleetViolation| FleetReport {
+            app: v.app,
+            violation_at: v.violation_at,
+            report: self.with_tenant(v.app, |t| t.diagnose(v.violation_at, sequential)),
+            latency: started.elapsed(),
+        };
+        if sequential || lanes.len() <= 1 {
+            return order.into_iter().map(diagnose).collect();
         }
-        reports
+        let slots: Vec<Mutex<Option<FleetReport>>> =
+            order.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for positions in lanes.values() {
+                let (order, slots, diagnose) = (&order, &slots, &diagnose);
+                scope.spawn(move || {
+                    for &pos in positions {
+                        *slots[pos].lock() = Some(diagnose(order[pos]));
+                    }
+                });
+            }
+        });
+        slots
             .into_iter()
-            .map(|r| r.expect("every scheduled violation is diagnosed"))
-            .collect()
-    }
-
-    /// Reference single-threaded drain: the same schedule executed one
-    /// violation at a time with the sequential fan-out. Bit-identical to
-    /// [`FleetMaster::on_violations`] for the same state and fault
-    /// schedule (with latencies well clear of the deadlines).
-    pub fn on_violations_sequential(&self, violations: &[FleetViolation]) -> Vec<FleetReport> {
-        let _span = obs::time(obs::Stage::FleetDrain);
-        let order = self.schedule(violations);
-        obs::count(obs::Counter::FleetViolations, order.len() as u64);
-        let lanes = order
-            .iter()
-            .map(|v| v.app)
-            .collect::<std::collections::BTreeSet<_>>();
-        obs::count(obs::Counter::FleetLanes, lanes.len() as u64);
-        let started = Instant::now();
-        order
-            .into_iter()
-            .map(|v| FleetReport {
-                app: v.app,
-                violation_at: v.violation_at,
-                report: self.diagnose_sequential(v.app, v.violation_at),
-                latency: started.elapsed(),
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("every scheduled violation is diagnosed")
             })
             .collect()
     }
@@ -842,11 +793,25 @@ mod tests {
     use super::*;
     use crate::config::FleetConfig;
     use crate::master::endpoint::{FaultySlave, SlaveFault, TenantSlave};
-    use crate::master::Master;
+    use crate::master::validation::{validate_pinpointing, ValidationProbe};
     use crate::report::AbnormalChange;
     use crate::slave::{MetricSample, SlaveDaemon};
     use fchain_detect::Trend;
     use fchain_metrics::MetricKind;
+
+    /// The paper's single-application master: a fleet of one tenant named
+    /// `"default"`.
+    fn single_app(config: FChainConfig) -> (FleetMaster, AppId) {
+        let mut fleet = FleetMaster::new(config);
+        let app = fleet.add_tenant("default");
+        (fleet, app)
+    }
+
+    /// Feeds `n` ticks of component `c` into `slave` (the default
+    /// tenant), stepping CPU at `fault_at` if given.
+    fn feed(slave: &SlaveDaemon, c: u32, n: u64, fault_at: Option<u64>) {
+        feed_tenant(slave, AppId::default(), c, n, fault_at);
+    }
 
     /// Feeds `n` ticks of component `c` for tenant `app` into a shared
     /// daemon pool, stepping CPU at `fault_at` if given.
@@ -902,15 +867,16 @@ mod tests {
 
     #[test]
     fn fleet_of_one_matches_the_single_app_master() {
-        // The same stream fed to a standalone Master and to a fleet of
-        // one must produce bit-identical reports (including coverage and
+        // The same stream fed to the single-app master (a fleet of one
+        // over a whole daemon) and to a fleet of one over a tenant-scoped
+        // pool must produce bit-identical reports (including coverage and
         // findings; `app` and provenance are excluded from equality but
         // asserted separately).
         let solo_daemon = Arc::new(SlaveDaemon::new(FChainConfig::default()));
         feed_tenant(&solo_daemon, AppId::default(), 0, 1000, Some(940));
         feed_tenant(&solo_daemon, AppId::default(), 1, 1000, None);
-        let mut solo = Master::new(FChainConfig::default());
-        solo.register_slave(Arc::clone(&solo_daemon) as Arc<dyn SlaveEndpoint>);
+        let (mut solo, solo_app) = single_app(FChainConfig::default());
+        solo.register_slave(solo_app, Arc::clone(&solo_daemon) as Arc<dyn SlaveEndpoint>);
 
         let pool = Arc::new(SlaveDaemon::new(FChainConfig::default()));
         let mut fleet = FleetMaster::new(FChainConfig::default());
@@ -919,7 +885,7 @@ mod tests {
         feed_tenant(&pool, app, 1, 1000, None);
         fleet.register_slave(app, Arc::new(TenantSlave::new(pool, app)));
 
-        let solo_report = solo.on_violation(990);
+        let solo_report = solo.diagnose(solo_app, 990);
         let fleet_report = fleet.diagnose(app, 990);
         assert_eq!(solo_report, fleet_report);
         assert_eq!(solo_report.findings, fleet_report.findings);
@@ -1203,7 +1169,10 @@ mod tests {
     #[test]
     fn observed_diagnosis_is_labeled_with_the_tenant_name() {
         let (fleet, shop, _) = two_tenant_fleet();
-        let report = fleet.diagnose_observed(shop, 990);
+        let before = obs::snapshot();
+        let mut report = fleet.diagnose(shop, 990);
+        let delta = obs::snapshot().delta_since(&before);
+        report.snapshot = fleet.tenant_name(shop).map(|name| delta.labeled(name));
         assert_eq!(report, fleet.diagnose(shop, 990), "snapshot excluded");
         let snapshot = report.snapshot.expect("observed report has a snapshot");
         if obs::enabled() {
@@ -1241,5 +1210,310 @@ mod tests {
         assert_eq!(merged[0].id, ComponentId(0));
         assert_eq!(merged[1].changes.len(), 2, "shared change deduped");
         assert_eq!(merged[1].onset(), Some(90));
+    }
+
+    #[test]
+    fn master_merges_findings_across_hosts() {
+        // Two hosts, two components each; the fault is on host 2.
+        let host1 = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        let host2 = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&host1, 0, 1000, None);
+        feed(&host1, 1, 1000, None);
+        feed(&host2, 2, 1000, Some(940));
+        feed(&host2, 3, 1000, None);
+
+        let (mut master, app) = single_app(FChainConfig::default());
+        master.register_slave(app, host1);
+        master.register_slave(app, host2);
+        assert_eq!(master.slave_count(app), 2);
+
+        let report = master.diagnose(app, 990);
+        assert_eq!(report.pinpointed, vec![ComponentId(2)]);
+        assert_eq!(report.findings.len(), 4);
+        assert!(report.coverage.is_complete());
+        assert_eq!(report.coverage.coverage, 1.0);
+        assert_eq!(report.coverage.slaves, vec![SlaveStatus::Ok; 2]);
+    }
+
+    #[test]
+    fn master_with_no_slaves_reports_no_anomaly() {
+        let (master, app) = single_app(FChainConfig::default());
+        let report = master.diagnose(app, 100);
+        assert_eq!(report.verdict, crate::Verdict::NoAnomaly);
+        assert!(report.coverage.is_complete());
+        assert_eq!(report.coverage.coverage, 1.0);
+    }
+
+    #[test]
+    fn duplicate_endpoint_registration_is_a_no_op() {
+        // A slave re-announcing itself (the same Arc) must not be fanned
+        // out to twice; a distinct daemon monitoring the same component
+        // is redundant monitoring and stays allowed.
+        let daemon = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&daemon, 0, 1000, Some(940));
+        let endpoint: Arc<dyn SlaveEndpoint> = daemon;
+        let (mut master, app) = single_app(FChainConfig::default());
+        assert!(master.register_slave(app, Arc::clone(&endpoint)));
+        assert!(!master.register_slave(app, Arc::clone(&endpoint)));
+        assert_eq!(master.slave_count(app), 1);
+        let report = master.diagnose(app, 990);
+        assert_eq!(report.coverage.slaves.len(), 1, "one fan-out, not two");
+        assert_eq!(report.pinpointed, vec![ComponentId(0)]);
+
+        let twin = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&twin, 0, 1000, Some(940));
+        assert!(master.register_slave(app, twin));
+        assert_eq!(master.slave_count(app), 2);
+    }
+
+    #[test]
+    fn dependency_graph_enables_sibling_rescue() {
+        // Components 0 and 1 are independent (no dependency between
+        // them); both step, 1 slightly later — without the graph only the
+        // earliest is pinpointed, with it both are.
+        let slave = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&slave, 0, 1000, Some(930));
+        feed(&slave, 1, 1000, Some(938));
+        feed(&slave, 2, 1000, None);
+
+        let (mut bare, app) = single_app(FChainConfig::default());
+        bare.register_slave(app, Arc::clone(&slave) as Arc<dyn SlaveEndpoint>);
+        let without = bare.diagnose(app, 990);
+        assert_eq!(without.pinpointed, vec![ComponentId(0)]);
+
+        let mut deps = DependencyGraph::new();
+        deps.add_edge(ComponentId(0), ComponentId(2));
+        deps.add_edge(ComponentId(1), ComponentId(2));
+        bare.set_dependencies(app, deps);
+        let with = bare.diagnose(app, 990);
+        assert_eq!(with.pinpointed, vec![ComponentId(0), ComponentId(1)]);
+    }
+
+    #[test]
+    fn validated_diagnosis_drops_unconfirmed_components() {
+        #[derive(Debug)]
+        struct ApproveOnly(ComponentId);
+        impl ValidationProbe for ApproveOnly {
+            fn scale_and_observe(&mut self, c: ComponentId, _m: MetricKind) -> bool {
+                c == self.0
+            }
+        }
+        let slave = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&slave, 0, 1000, Some(940));
+        feed(&slave, 1, 1000, Some(941));
+        feed(&slave, 2, 1000, None); // a normal component: not an external factor
+        let (mut master, app) = single_app(FChainConfig::default());
+        master.register_slave(app, slave);
+        let mut report = master.diagnose(app, 990);
+        validate_pinpointing(&mut report, &mut ApproveOnly(ComponentId(1)));
+        assert_eq!(report.pinpointed, vec![ComponentId(1)]);
+        assert_eq!(report.removed_by_validation, vec![ComponentId(0)]);
+    }
+
+    #[test]
+    fn duplicate_component_findings_are_merged_not_dropped() {
+        // Two registered slaves both report ComponentId(7) — one saw a
+        // CPU change, the other an earlier Memory change. The old
+        // `dedup_by_key` silently dropped the second report; the merge
+        // must union the changes and surface the earliest onset.
+        #[derive(Debug)]
+        struct Canned(Vec<ComponentFinding>);
+        impl SlaveEndpoint for Canned {
+            fn monitored_components(&self) -> Vec<ComponentId> {
+                self.0.iter().map(|f| f.id).collect()
+            }
+            fn collect(&self, _at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
+                Ok(self.0.clone())
+            }
+            fn collect_sequential(&self, _at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
+                Ok(self.0.clone())
+            }
+        }
+        let change = |metric, onset| AbnormalChange {
+            metric,
+            change_at: onset + 3,
+            onset,
+            prediction_error: 10.0,
+            expected_error: 1.0,
+            direction: Trend::Up,
+        };
+        let cpu = change(MetricKind::Cpu, 200);
+        let memory = change(MetricKind::Memory, 180);
+        let (mut master, app) = single_app(FChainConfig::default());
+        master.register_slave(
+            app,
+            Arc::new(Canned(vec![ComponentFinding {
+                id: ComponentId(7),
+                changes: vec![cpu],
+            }])),
+        );
+        master.register_slave(
+            app,
+            Arc::new(Canned(vec![ComponentFinding {
+                id: ComponentId(7),
+                changes: vec![memory],
+            }])),
+        );
+        let findings = master.diagnose(app, 990).findings;
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].changes, vec![cpu, memory]);
+        assert_eq!(findings[0].onset(), Some(180), "earliest onset must win");
+        // Identical duplicates collapse instead of doubling.
+        let sequential = master.diagnose_sequential(app, 990);
+        assert_eq!(sequential.findings, findings);
+    }
+
+    #[test]
+    fn crashed_slave_degrades_coverage_instead_of_panicking() {
+        let healthy = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&healthy, 0, 1000, Some(940));
+        let dead = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&dead, 1, 1000, None);
+        feed(&dead, 2, 1000, None);
+
+        let (mut master, app) = single_app(FChainConfig::default());
+        master.register_slave(app, healthy);
+        master.register_slave(app, Arc::new(FaultySlave::new(dead, SlaveFault::Crash)));
+
+        let report = master.diagnose(app, 990);
+        assert_eq!(report.pinpointed, vec![ComponentId(0)]);
+        assert!(!report.coverage.is_complete());
+        assert_eq!(report.coverage.unreachable_slaves, vec![1]);
+        assert_eq!(report.coverage.coverage, 0.5);
+        assert_eq!(
+            report.coverage.unreachable_components,
+            vec![ComponentId(1), ComponentId(2)]
+        );
+        assert_eq!(
+            report.coverage.slaves,
+            vec![SlaveStatus::Ok, SlaveStatus::Unreachable]
+        );
+        // The sequential reference sees the same degraded picture.
+        assert_eq!(report, master.diagnose_sequential(app, 990));
+    }
+
+    #[test]
+    fn transient_slave_recovers_within_retry_budget() {
+        let daemon = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&daemon, 0, 1000, Some(940));
+        let flaky = Arc::new(FaultySlave::new(
+            Arc::clone(&daemon) as Arc<dyn SlaveEndpoint>,
+            SlaveFault::Transient { failures: 2 },
+        ));
+        let (mut master, app) = single_app(FChainConfig::default()); // slave_retries = 2
+        master.register_slave(app, Arc::clone(&flaky) as Arc<dyn SlaveEndpoint>);
+        let report = master.diagnose(app, 990);
+        assert_eq!(report.pinpointed, vec![ComponentId(0)]);
+        assert_eq!(
+            report.coverage.slaves,
+            vec![SlaveStatus::Recovered { retries: 2 }]
+        );
+        assert!(report.coverage.is_complete());
+        assert_eq!(flaky.calls(), 3);
+    }
+
+    #[test]
+    fn transient_slave_beyond_retry_budget_is_unreachable() {
+        let daemon = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&daemon, 0, 1000, Some(940));
+        let (mut master, app) = single_app(FChainConfig {
+            slave_retries: 1,
+            ..FChainConfig::default()
+        });
+        master.register_slave(
+            app,
+            Arc::new(FaultySlave::new(
+                daemon,
+                SlaveFault::Transient { failures: 5 },
+            )),
+        );
+        let report = master.diagnose(app, 990);
+        assert_eq!(report.verdict, crate::Verdict::NoAnomaly);
+        assert_eq!(report.coverage.slaves, vec![SlaveStatus::Unreachable]);
+        assert_eq!(report.coverage.unreachable_components, vec![ComponentId(0)]);
+    }
+
+    #[test]
+    fn straggler_is_abandoned_at_the_deadline() {
+        let fast = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&fast, 0, 1000, Some(940));
+        let slow = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&slow, 1, 1000, Some(935)); // would win pinpointing if heard
+
+        let (mut master, app) = single_app(FChainConfig {
+            slave_deadline_ms: 150,
+            ..FChainConfig::default()
+        });
+        master.register_slave(app, fast);
+        master.register_slave(
+            app,
+            Arc::new(FaultySlave::new(
+                slow,
+                SlaveFault::Stall {
+                    delay: Duration::from_millis(2000),
+                },
+            )),
+        );
+
+        let started = Instant::now();
+        let report = master.diagnose(app, 990);
+        assert!(
+            started.elapsed() < Duration::from_millis(1500),
+            "diagnosis must not wait out the straggler"
+        );
+        assert_eq!(report.pinpointed, vec![ComponentId(0)]);
+        assert_eq!(
+            report.coverage.slaves,
+            vec![SlaveStatus::Ok, SlaveStatus::TimedOut]
+        );
+        assert_eq!(report.coverage.unreachable_components, vec![ComponentId(1)]);
+    }
+
+    #[test]
+    fn lone_stalled_slave_is_abandoned_at_the_deadline() {
+        // A tenant with exactly one slave gets the same deadline as a
+        // bigger one: the diagnosis returns at the deadline instead of
+        // waiting out the stall and discarding the late answer.
+        let daemon = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&daemon, 0, 1000, Some(940));
+        let (mut master, app) = single_app(FChainConfig {
+            slave_deadline_ms: 150,
+            ..FChainConfig::default()
+        });
+        master.register_slave(
+            app,
+            Arc::new(FaultySlave::new(
+                daemon,
+                SlaveFault::Stall {
+                    delay: Duration::from_millis(1500),
+                },
+            )),
+        );
+
+        let started = Instant::now();
+        let report = master.diagnose(app, 990);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(1000),
+            "diagnosis must not wait out its only slave ({elapsed:?})"
+        );
+        assert_eq!(report.coverage.slaves, vec![SlaveStatus::TimedOut]);
+    }
+
+    #[test]
+    fn redundantly_monitored_component_is_not_a_blind_spot() {
+        // Both slaves monitor component 0; one crashes. The survivor's
+        // findings cover it, so it must not be listed as unreachable.
+        let a = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&a, 0, 1000, Some(940));
+        let b = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+        feed(&b, 0, 1000, Some(940));
+        let (mut master, app) = single_app(FChainConfig::default());
+        master.register_slave(app, a);
+        master.register_slave(app, Arc::new(FaultySlave::new(b, SlaveFault::Crash)));
+        let report = master.diagnose(app, 990);
+        assert_eq!(report.coverage.unreachable_slaves, vec![1]);
+        assert!(report.coverage.unreachable_components.is_empty());
+        assert_eq!(report.pinpointed, vec![ComponentId(0)]);
     }
 }

@@ -10,13 +10,12 @@
 pub mod endpoint;
 pub mod ensemble;
 pub mod fleet;
-pub mod orchestrator;
 pub mod pinpoint;
 pub mod validation;
 
 pub use endpoint::{
-    FaultySlave, SlaveEndpoint, SlaveError, SlaveFault, SlaveFaultSchedule, TenantSlave,
+    CollectRequest, FaultySlave, SlaveEndpoint, SlaveError, SlaveFault, SlaveFaultSchedule,
+    TenantSlave,
 };
 pub use ensemble::{ensemble_pinpoint, EnsembleInput, EnsembleScorer, ScoredComponent};
 pub use fleet::{FleetMaster, FleetReport, FleetViolation};
-pub use orchestrator::Master;

@@ -20,6 +20,7 @@
 //! values through a shadow learner.
 
 use crate::config::{AnalysisEngine, FChainConfig};
+use crate::master::endpoint::CollectRequest;
 use crate::report::{AbnormalChange, ComponentFinding};
 use crate::slave::derived::DerivedSeries;
 use crate::slave::selection::{
@@ -616,70 +617,35 @@ impl SlaveDaemon {
         })
     }
 
-    /// Analyzes every monitored component (the whole host) at once, in
-    /// parallel across components.
+    /// Answers one collect: analyzes every component in the request's
+    /// scope (all shards for `app: None`, one tenant's for `Some`) over
+    /// the look-back window ending at `violation_at`, at the configured
+    /// `W` unless the request overrides it.
     ///
-    /// Bit-identical to [`SlaveDaemon::analyze_all_sequential`]: each
-    /// component's analysis is independent and deterministic, and results
-    /// are assembled in component-id order regardless of which worker
-    /// finishes first.
-    pub fn analyze_all(&self, violation_at: Tick) -> Vec<ComponentFinding> {
-        self.analyze_list(self.shard_list(), violation_at, self.config.lookback)
-    }
-
-    /// Analyzes every component one tenant application monitors, in
-    /// parallel across components.
-    pub fn analyze_all_for(&self, app: AppId, violation_at: Tick) -> Vec<ComponentFinding> {
-        self.analyze_list(self.shard_list_for(app), violation_at, self.config.lookback)
-    }
-
-    /// [`SlaveDaemon::analyze_all`] with a per-call look-back window
-    /// override; see [`SlaveDaemon::analyze_all_for_windowed`].
-    pub fn analyze_all_windowed(&self, violation_at: Tick, lookback: u64) -> Vec<ComponentFinding> {
-        self.analyze_list(self.shard_list(), violation_at, lookback)
-    }
-
-    /// Reference single-threaded implementation of
-    /// [`SlaveDaemon::analyze_all_windowed`].
-    pub fn analyze_all_sequential_windowed(
-        &self,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Vec<ComponentFinding> {
-        Self::analyze_list_sequential(self, self.shard_list(), violation_at, lookback)
-    }
-
-    /// [`SlaveDaemon::analyze_all_for`] with a per-call look-back window
-    /// override — how the fleet serves tenants whose fault profile needs
-    /// a longer window (the paper runs `W = 500` for the slow-manifesting
-    /// disk hog) from a pool daemon configured at the default `W`.
-    ///
-    /// The streaming engine's O(1) error-floor shortcut assumes the
-    /// configured window, so an override analyzes with the floor computed
-    /// from the history instead — same selection core, same findings as a
-    /// daemon configured at `lookback` natively (given equal history).
-    pub fn analyze_all_for_windowed(
-        &self,
-        app: AppId,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Vec<ComponentFinding> {
-        self.analyze_list(self.shard_list_for(app), violation_at, lookback)
-    }
-
-    /// The shared fan-out: analyzes a shard snapshot in parallel,
-    /// assembling findings in list (shard-key) order regardless of which
-    /// worker finishes first.
-    fn analyze_list(
-        &self,
-        shards: Vec<ShardEntry>,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Vec<ComponentFinding> {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(shards.len());
+    /// Components are analyzed in parallel unless the request is
+    /// `sequential`; both paths assemble findings in shard-key order, so
+    /// they are bit-identical (each component's analysis is independent
+    /// and deterministic). A window override other than the configured
+    /// `W` (the paper runs `W = 500` for the slow-manifesting disk hog)
+    /// analyzes with the error floor computed from the history instead of
+    /// the streaming engine's O(1) sketch — same selection core, same
+    /// findings as a daemon configured at that window natively (given
+    /// equal history).
+    pub fn analyze_all(&self, request: &CollectRequest) -> Vec<ComponentFinding> {
+        let shards = match request.app {
+            None => self.shard_list(),
+            Some(app) => self.shard_list_for(app),
+        };
+        let violation_at = request.violation_at;
+        let lookback = request.lookback.unwrap_or(self.config.lookback);
+        let workers = if request.sequential {
+            1
+        } else {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(shards.len())
+        };
         if workers <= 1 {
             return shards
                 .iter()
@@ -707,57 +673,43 @@ impl SlaveDaemon {
         slots.into_iter().filter_map(Mutex::into_inner).collect()
     }
 
-    /// Reference single-threaded implementation of
-    /// [`SlaveDaemon::analyze_all`]; the parallel path is tested to match
-    /// it exactly.
-    pub fn analyze_all_sequential(&self, violation_at: Tick) -> Vec<ComponentFinding> {
-        Self::analyze_list_sequential(self, self.shard_list(), violation_at, self.config.lookback)
-    }
-
-    /// Reference single-threaded implementation of
-    /// [`SlaveDaemon::analyze_all_for`].
-    pub fn analyze_all_sequential_for(
+    /// [`SlaveDaemon::analyze_all`] for one tenant with a window override.
+    /// Kept only because the benchmark harness (`e2ebench/src/layers.rs`)
+    /// replays each recorded collect through it.
+    pub fn analyze_all_for_windowed(
         &self,
         app: AppId,
         violation_at: Tick,
+        lookback: u64,
     ) -> Vec<ComponentFinding> {
-        Self::analyze_list_sequential(
-            self,
-            self.shard_list_for(app),
+        self.analyze_all(&CollectRequest {
+            app: Some(app),
             violation_at,
-            self.config.lookback,
-        )
-    }
-
-    /// Reference single-threaded implementation of
-    /// [`SlaveDaemon::analyze_all_for_windowed`].
-    pub fn analyze_all_sequential_for_windowed(
-        &self,
-        app: AppId,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Vec<ComponentFinding> {
-        Self::analyze_list_sequential(self, self.shard_list_for(app), violation_at, lookback)
-    }
-
-    fn analyze_list_sequential(
-        &self,
-        shards: Vec<ShardEntry>,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Vec<ComponentFinding> {
-        shards
-            .iter()
-            .filter_map(|(key, shard)| {
-                self.analyze_shard(key.1, &mut shard.lock(), violation_at, lookback)
-            })
-            .collect()
+            lookback: Some(lookback),
+            sequential: false,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The whole-daemon collect at the configured window.
+    fn at(violation_at: Tick) -> CollectRequest {
+        CollectRequest {
+            violation_at,
+            ..CollectRequest::default()
+        }
+    }
+
+    /// [`at`] on the reference single-threaded path.
+    fn sequential_at(violation_at: Tick) -> CollectRequest {
+        CollectRequest {
+            sequential: true,
+            ..at(violation_at)
+        }
+    }
 
     fn feed_component(daemon: &SlaveDaemon, c: ComponentId, n: u64, fault_at: Option<u64>) {
         for t in 0..n {
@@ -822,7 +774,7 @@ mod tests {
         let daemon = SlaveDaemon::new(FChainConfig::default());
         feed_component(&daemon, ComponentId(0), 900, None);
         feed_component(&daemon, ComponentId(1), 900, Some(850));
-        let findings = daemon.analyze_all(890);
+        let findings = daemon.analyze_all(&at(890));
         assert_eq!(findings.len(), 2);
         let faulty = findings.iter().find(|f| f.id == ComponentId(1)).unwrap();
         assert!(faulty.onset().is_some());
@@ -948,12 +900,47 @@ mod tests {
 
     #[test]
     fn parallel_analyze_all_matches_sequential() {
-        let daemon = SlaveDaemon::new(FChainConfig::default());
+        // Every request shape: scope, window (configured, explicitly the
+        // configured one, and a 2W override that bypasses the streaming
+        // sketch-floor hint) and path. On this single-tenant daemon the
+        // whole-daemon scope is the default tenant's scope, and an
+        // override equal to W is no override.
+        let config = FChainConfig::default();
+        let w = config.lookback;
+        let daemon = SlaveDaemon::new(config);
         feed_component(&daemon, ComponentId(0), 1000, Some(930));
         feed_component(&daemon, ComponentId(1), 1000, None);
         feed_component(&daemon, ComponentId(2), 1000, Some(945));
         feed_component(&daemon, ComponentId(3), 1000, None);
-        assert_eq!(daemon.analyze_all(990), daemon.analyze_all_sequential(990));
+        for app in [None, Some(AppId::default())] {
+            for lookback in [None, Some(w), Some(2 * w)] {
+                let request = CollectRequest {
+                    app,
+                    violation_at: 990,
+                    lookback,
+                    sequential: false,
+                };
+                let parallel = daemon.analyze_all(&request);
+                let sequential = daemon.analyze_all(&CollectRequest {
+                    sequential: true,
+                    ..request
+                });
+                assert_eq!(parallel, sequential, "{request:?}");
+                assert_eq!(parallel.len(), 4, "{request:?}");
+                let whole_daemon = CollectRequest {
+                    app: None,
+                    ..request
+                };
+                assert_eq!(parallel, daemon.analyze_all(&whole_daemon), "{request:?}");
+                if lookback == Some(w) {
+                    let configured = CollectRequest {
+                        lookback: None,
+                        ..request
+                    };
+                    assert_eq!(parallel, daemon.analyze_all(&configured), "{request:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -985,7 +972,7 @@ mod tests {
             })
             .collect();
         for _ in 0..10 {
-            let findings = daemon.analyze_all(890);
+            let findings = daemon.analyze_all(&at(890));
             assert_eq!(findings.len(), 4, "all four components must be analyzed");
         }
         for w in writers {
@@ -993,8 +980,8 @@ mod tests {
         }
         // Once ingestion has quiesced the parallel path must agree with a
         // sequential replay of the same state, sample for sample.
-        let parallel = daemon.analyze_all(890);
-        let replay = daemon.analyze_all_sequential(890);
+        let parallel = daemon.analyze_all(&at(890));
+        let replay = daemon.analyze_all(&sequential_at(890));
         assert_eq!(parallel, replay);
         let faulty: Vec<ComponentId> = replay
             .iter()
@@ -1074,8 +1061,8 @@ mod tests {
             batched.ingest_batch_for(app, chunk);
         }
         assert_eq!(
-            per_sample.analyze_all_sequential(1190),
-            batched.analyze_all_sequential(1190)
+            per_sample.analyze_all(&sequential_at(1190)),
+            batched.analyze_all(&sequential_at(1190))
         );
     }
 
@@ -1099,8 +1086,8 @@ mod tests {
         // (trimmed tail, direct floor) and long before the fault.
         for v in [999, 990, 985, 700] {
             assert_eq!(
-                batch.analyze_all_sequential(v),
-                streaming.analyze_all_sequential(v),
+                batch.analyze_all(&sequential_at(v)),
+                streaming.analyze_all(&sequential_at(v)),
                 "engines disagree at violation tick {v}"
             );
         }
@@ -1136,8 +1123,8 @@ mod tests {
         }
         for v in [399, 1899, 1880, 1400] {
             assert_eq!(
-                batch.analyze_all_sequential(v),
-                streaming.analyze_all_sequential(v),
+                batch.analyze_all(&sequential_at(v)),
+                streaming.analyze_all(&sequential_at(v)),
                 "engines disagree at violation tick {v}"
             );
         }

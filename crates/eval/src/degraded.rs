@@ -10,9 +10,8 @@
 
 use crate::casegen::case_from_run;
 use crate::score::Counts;
-use fchain_core::master::Master;
 use fchain_core::slave::{MetricSample, SlaveDaemon};
-use fchain_core::{FChainConfig, FaultySlave, SlaveEndpoint, SlaveFaultSchedule};
+use fchain_core::{FChainConfig, FaultySlave, FleetMaster, SlaveEndpoint, SlaveFaultSchedule};
 use fchain_metrics::{MetricKind, Tick};
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
 use serde_json::json;
@@ -135,17 +134,21 @@ impl DegradedCampaign {
                 // campaign parameters always crash the same slaves.
                 let schedule =
                     SlaveFaultSchedule::crashes(seed ^ ((rate_idx as u64) << 32), point.loss_rate);
-                let mut master = Master::new(self.config.clone());
+                let mut master = FleetMaster::new(self.config.clone());
+                let app = master.add_tenant("default");
                 for (s, daemon) in daemons.iter().enumerate() {
-                    master.register_slave(Arc::new(FaultySlave::new(
-                        Arc::clone(daemon) as Arc<dyn SlaveEndpoint>,
-                        schedule.fault_for(s),
-                    )));
+                    master.register_slave(
+                        app,
+                        Arc::new(FaultySlave::new(
+                            Arc::clone(daemon) as Arc<dyn SlaveEndpoint>,
+                            schedule.fault_for(s),
+                        )),
+                    );
                 }
                 if let Some(deps) = case.discovered_deps.clone() {
-                    master.set_dependencies(deps);
+                    master.set_dependencies(app, deps);
                 }
-                let report = master.on_violation(case.violation_at);
+                let report = master.diagnose(app, case.violation_at);
                 // Set-semantics ground truth: overlapping fault windows
                 // naming one component twice still claim a single slot.
                 point

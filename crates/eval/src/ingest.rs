@@ -266,6 +266,7 @@ impl IngestResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fchain_core::CollectRequest;
 
     fn small() -> IngestCampaign {
         IngestCampaign {
@@ -354,10 +355,15 @@ mod tests {
             daemon
         };
         for t in 0..campaign.tenants {
-            let app = AppId(t as u32);
+            let request = CollectRequest {
+                app: Some(AppId(t as u32)),
+                violation_at: campaign.ticks - 1,
+                lookback: None,
+                sequential: true,
+            };
             assert_eq!(
-                campaign_daemon.analyze_all_sequential_for(app, campaign.ticks - 1),
-                result_daemon.analyze_all_sequential_for(app, campaign.ticks - 1),
+                campaign_daemon.analyze_all(&request),
+                result_daemon.analyze_all(&request),
                 "tenant {t} diverged through the service"
             );
         }

@@ -6,7 +6,7 @@
 use crate::frame::{read_frame, write_frame, Frame, ResponseStatus, WireError};
 use crate::server::{Stream, WireAddr};
 use fchain_core::slave::MetricSample;
-use fchain_core::{ComponentFinding, SlaveEndpoint, SlaveError};
+use fchain_core::{CollectRequest, ComponentFinding, SlaveEndpoint, SlaveError};
 use fchain_metrics::{AppId, ComponentId, Tick};
 use parking_lot::Mutex;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -175,18 +175,8 @@ impl RemoteSlave {
         }
     }
 
-    fn collect_frame(
-        &self,
-        violation_at: Tick,
-        lookback: Option<u64>,
-        sequential: bool,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        let request = Frame::CollectRequest {
-            app: self.app,
-            violation_at,
-            lookback,
-            sequential,
-        };
+    fn send_collect(&self, request: CollectRequest) -> Result<Vec<ComponentFinding>, SlaveError> {
+        let request = Frame::CollectRequest(request);
         match self.exchange(&request).map_err(map_wire_error)? {
             Frame::CollectResponse {
                 status: ResponseStatus::Ok,
@@ -266,11 +256,21 @@ impl SlaveEndpoint for RemoteSlave {
     }
 
     fn collect(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.collect_frame(violation_at, None, false)
+        self.send_collect(CollectRequest {
+            app: self.app,
+            violation_at,
+            lookback: None,
+            sequential: false,
+        })
     }
 
     fn collect_sequential(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.collect_frame(violation_at, None, true)
+        self.send_collect(CollectRequest {
+            app: self.app,
+            violation_at,
+            lookback: None,
+            sequential: true,
+        })
     }
 
     fn collect_with_lookback(
@@ -278,7 +278,12 @@ impl SlaveEndpoint for RemoteSlave {
         violation_at: Tick,
         lookback: u64,
     ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.collect_frame(violation_at, Some(lookback), false)
+        self.send_collect(CollectRequest {
+            app: self.app,
+            violation_at,
+            lookback: Some(lookback),
+            sequential: false,
+        })
     }
 
     fn collect_sequential_with_lookback(
@@ -286,6 +291,11 @@ impl SlaveEndpoint for RemoteSlave {
         violation_at: Tick,
         lookback: u64,
     ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.collect_frame(violation_at, Some(lookback), true)
+        self.send_collect(CollectRequest {
+            app: self.app,
+            violation_at,
+            lookback: Some(lookback),
+            sequential: true,
+        })
     }
 }

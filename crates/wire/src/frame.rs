@@ -23,9 +23,9 @@
 //! proportionally to a length field that the remaining bytes cannot back.
 
 use fchain_core::slave::MetricSample;
-use fchain_core::{AbnormalChange, ComponentFinding};
+use fchain_core::{AbnormalChange, CollectRequest, ComponentFinding};
 use fchain_detect::Trend;
-use fchain_metrics::{AppId, ComponentId, MetricKind, Tick};
+use fchain_metrics::{AppId, ComponentId, MetricKind};
 use std::io::{Read, Write};
 
 /// First four bytes of every frame.
@@ -138,21 +138,11 @@ pub enum ResponseStatus {
 /// One message of the master–slave protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Master → slave: analyze the look-back window ending at
-    /// `violation_at`. `app: None` addresses the whole daemon (the
-    /// single-app master's registry view); `Some` scopes to one tenant.
-    /// `lookback: None` uses the daemon's configured window;
-    /// `sequential` selects the reference single-threaded path.
-    CollectRequest {
-        /// Tenant scope, or `None` for the whole daemon.
-        app: Option<AppId>,
-        /// End of the look-back window.
-        violation_at: Tick,
-        /// Per-call window override.
-        lookback: Option<u64>,
-        /// Use the reference single-threaded analysis path.
-        sequential: bool,
-    },
+    /// Master → slave: one collect, answered by
+    /// [`fchain_core::slave::SlaveDaemon::analyze_all`]. `app: None`
+    /// addresses the whole daemon (the single-app master's registry
+    /// view); `Some` scopes to one tenant.
+    CollectRequest(CollectRequest),
     /// Slave → master: the findings (empty unless `status` is
     /// [`ResponseStatus::Ok`]).
     CollectResponse {
@@ -162,7 +152,7 @@ pub enum Frame {
         findings: Vec<ComponentFinding>,
     },
     /// Master → slave: which components do you monitor? Same scoping
-    /// rule as [`Frame::CollectRequest::app`].
+    /// rule as [`CollectRequest::app`].
     MonitoredRequest {
         /// Tenant scope, or `None` for the whole daemon.
         app: Option<AppId>,
@@ -202,7 +192,7 @@ pub enum Frame {
 impl Frame {
     fn frame_type(&self) -> FrameType {
         match self {
-            Frame::CollectRequest { .. } => FrameType::CollectRequest,
+            Frame::CollectRequest(_) => FrameType::CollectRequest,
             Frame::CollectResponse { .. } => FrameType::CollectResponse,
             Frame::MonitoredRequest { .. } => FrameType::MonitoredRequest,
             Frame::MonitoredResponse { .. } => FrameType::MonitoredResponse,
@@ -409,17 +399,12 @@ fn get_findings(c: &mut Cursor<'_>) -> Result<Vec<ComponentFinding>, WireError> 
 pub fn encode_frame(frame: &Frame, request_id: u64) -> Vec<u8> {
     let mut payload = Vec::new();
     match frame {
-        Frame::CollectRequest {
-            app,
-            violation_at,
-            lookback,
-            sequential,
-        } => {
-            put_opt_app(&mut payload, *app);
-            put_u64(&mut payload, *violation_at);
-            put_bool(&mut payload, lookback.is_some());
-            put_u64(&mut payload, lookback.unwrap_or(0));
-            put_bool(&mut payload, *sequential);
+        Frame::CollectRequest(request) => {
+            put_opt_app(&mut payload, request.app);
+            put_u64(&mut payload, request.violation_at);
+            put_bool(&mut payload, request.lookback.is_some());
+            put_u64(&mut payload, request.lookback.unwrap_or(0));
+            put_bool(&mut payload, request.sequential);
         }
         Frame::CollectResponse { status, findings } => {
             put_u8(
@@ -531,12 +516,12 @@ fn decode_payload(frame_type: FrameType, c: &mut Cursor<'_>) -> Result<Frame, Wi
             let has_lookback = c.get_bool()?;
             let lookback = c.get_u64()?;
             let sequential = c.get_bool()?;
-            Frame::CollectRequest {
+            Frame::CollectRequest(CollectRequest {
                 app,
                 violation_at,
                 lookback: has_lookback.then_some(lookback),
                 sequential,
-            }
+            })
         }
         FrameType::CollectResponse => {
             let status = match c.get_u8()? {
@@ -644,18 +629,13 @@ mod tests {
     #[test]
     fn frames_roundtrip() {
         let frames = vec![
-            Frame::CollectRequest {
+            Frame::CollectRequest(CollectRequest {
                 app: Some(AppId(4)),
                 violation_at: 1234,
                 lookback: Some(500),
                 sequential: true,
-            },
-            Frame::CollectRequest {
-                app: None,
-                violation_at: 0,
-                lookback: None,
-                sequential: false,
-            },
+            }),
+            Frame::CollectRequest(CollectRequest::default()),
             Frame::CollectResponse {
                 status: ResponseStatus::Ok,
                 findings: sample_findings(),
@@ -686,6 +666,52 @@ mod tests {
             let (id, back) = decode_frame(&buf).expect("roundtrip");
             assert_eq!(id, i as u64);
             assert_eq!(&back, frame);
+        }
+    }
+
+    #[test]
+    fn collect_request_bytes_are_pinned() {
+        // The exact encoding of every collect-request shape, so a change
+        // to the frame format fails here even when it still roundtrips.
+        // Header: magic "FCHW", version 1, type 1, reserved, request id
+        // 7, payload length 23.
+        const HEADER: [u8; HEADER_LEN] = [
+            87, 72, 67, 70, 1, 1, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 23, 0, 0, 0,
+        ];
+        // Payload: app (flag + u32), violation_at 1234, lookback (flag +
+        // u64), sequential flag.
+        #[rustfmt::skip]
+        let cases = [
+            (None, None, false,
+             [0, 0, 0, 0, 0, 210, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (None, None, true,
+             [0, 0, 0, 0, 0, 210, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
+            (None, Some(500), false,
+             [0, 0, 0, 0, 0, 210, 4, 0, 0, 0, 0, 0, 0, 1, 244, 1, 0, 0, 0, 0, 0, 0, 0]),
+            (None, Some(500), true,
+             [0, 0, 0, 0, 0, 210, 4, 0, 0, 0, 0, 0, 0, 1, 244, 1, 0, 0, 0, 0, 0, 0, 1]),
+            (Some(AppId(4)), None, false,
+             [1, 4, 0, 0, 0, 210, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (Some(AppId(4)), None, true,
+             [1, 4, 0, 0, 0, 210, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
+            (Some(AppId(4)), Some(500), false,
+             [1, 4, 0, 0, 0, 210, 4, 0, 0, 0, 0, 0, 0, 1, 244, 1, 0, 0, 0, 0, 0, 0, 0]),
+            (Some(AppId(4)), Some(500), true,
+             [1, 4, 0, 0, 0, 210, 4, 0, 0, 0, 0, 0, 0, 1, 244, 1, 0, 0, 0, 0, 0, 0, 1]),
+        ];
+        for (app, lookback, sequential, payload) in cases {
+            let request = CollectRequest {
+                app,
+                violation_at: 1234,
+                lookback,
+                sequential,
+            };
+            let expected: Vec<u8> = HEADER.iter().chain(&payload).copied().collect();
+            assert_eq!(
+                encode_frame(&Frame::CollectRequest(request), 7),
+                expected,
+                "{request:?}"
+            );
         }
     }
 

@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use fchain_core::slave::{MetricSample, SlaveDaemon};
-//! use fchain_core::{FChainConfig, SlaveEndpoint};
+//! use fchain_core::{CollectRequest, FChainConfig, SlaveEndpoint};
 //! use fchain_metrics::{ComponentId, MetricKind};
 //! use fchain_wire::{RemoteSlave, WireAddr, WireServer};
 //! use std::sync::Arc;
@@ -43,7 +43,10 @@
 //!         value: 20.0,
 //!     });
 //! }
-//! let expected = daemon.analyze_all(599);
+//! let expected = daemon.analyze_all(&CollectRequest {
+//!     violation_at: 599,
+//!     ..CollectRequest::default()
+//! });
 //!
 //! let server = WireServer::serve(
 //!     &WireAddr::Tcp("127.0.0.1:0".to_string()),

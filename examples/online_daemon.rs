@@ -7,7 +7,7 @@
 //! cargo run --release --example online_daemon
 //! ```
 
-use fchain::core::master::Master;
+use fchain::core::master::FleetMaster;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
 use fchain::core::FChainConfig;
 use fchain::deps::{discover, DiscoveryConfig};
@@ -69,14 +69,15 @@ fn main() {
         .filter(|p| p.tick < run.fault.start)
         .copied()
         .collect();
-    let mut master = Master::new(FChainConfig::default());
-    master.register_slave(host_a.clone());
-    master.register_slave(host_b.clone());
-    master.set_dependencies(discover(&normal, &DiscoveryConfig::default()));
+    let mut master = FleetMaster::new(FChainConfig::default());
+    let app = master.add_tenant("default");
+    master.register_slave(app, host_a.clone());
+    master.register_slave(app, host_b.clone());
+    master.set_dependencies(app, discover(&normal, &DiscoveryConfig::default()));
 
     // SLO violation: diagnose from the warm daemons — no retraining.
     let start = Instant::now();
-    let report = master.on_violation(t_v);
+    let report = master.diagnose(app, t_v);
     println!(
         "\ndiagnosis in {:.1?} (models were already warm):",
         start.elapsed()

@@ -3,13 +3,12 @@
 //! it could not see, and staying bit-identical to the sequential
 //! reference (and to itself) for a fixed fault schedule.
 
-use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
 use fchain::core::{
-    DiagnosisReport, FChainConfig, FaultySlave, SlaveEndpoint, SlaveFault, SlaveFaultSchedule,
-    SlaveStatus, ValidationProbe,
+    validate_pinpointing, DiagnosisReport, FChainConfig, FaultySlave, FleetMaster, SlaveEndpoint,
+    SlaveFault, SlaveFaultSchedule, SlaveStatus, ValidationProbe,
 };
-use fchain::metrics::{ComponentId, MetricKind};
+use fchain::metrics::{AppId, ComponentId, MetricKind};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,16 +48,20 @@ fn master_with_faults(
     daemons: &[Arc<SlaveDaemon>],
     faults: &[SlaveFault],
     config: FChainConfig,
-) -> Master {
+) -> (FleetMaster, AppId) {
     assert_eq!(daemons.len(), faults.len());
-    let mut master = Master::new(config);
+    let mut master = FleetMaster::new(config);
+    let app = master.add_tenant("default");
     for (daemon, fault) in daemons.iter().zip(faults) {
-        master.register_slave(Arc::new(FaultySlave::new(
-            Arc::clone(daemon) as Arc<dyn SlaveEndpoint>,
-            *fault,
-        )));
+        master.register_slave(
+            app,
+            Arc::new(FaultySlave::new(
+                Arc::clone(daemon) as Arc<dyn SlaveEndpoint>,
+                *fault,
+            )),
+        );
     }
-    master
+    (master, app)
 }
 
 fn degraded_config() -> FChainConfig {
@@ -92,10 +95,10 @@ fn mixed_faults() -> Vec<SlaveFault> {
 #[test]
 fn stress_mixed_faults_complete_within_deadline() {
     let daemons = build_daemons(8, 0);
-    let master = master_with_faults(&daemons, &mixed_faults(), degraded_config());
+    let (master, app) = master_with_faults(&daemons, &mixed_faults(), degraded_config());
 
     let started = Instant::now();
-    let report = master.on_violation(990);
+    let report = master.diagnose(app, 990);
     let elapsed = started.elapsed();
     assert!(
         elapsed < Duration::from_secs(3),
@@ -140,11 +143,11 @@ fn seeded_fault_schedule_is_deterministic() {
     assert!(faults.iter().any(|f| matches!(f, SlaveFault::None)));
 
     let run = |sequential: bool| -> DiagnosisReport {
-        let master = master_with_faults(&daemons, &faults, degraded_config());
+        let (master, app) = master_with_faults(&daemons, &faults, degraded_config());
         if sequential {
-            master.on_violation_sequential(990)
+            master.diagnose_sequential(app, 990)
         } else {
-            master.on_violation(990)
+            master.diagnose(app, 990)
         }
     };
     let first = run(false);
@@ -165,17 +168,18 @@ fn seeded_fault_schedule_is_deterministic() {
 fn no_fault_wrappers_match_the_plain_path() {
     let daemons = build_daemons(4, 1);
 
-    let mut plain = Master::new(FChainConfig::default());
+    let mut plain = FleetMaster::new(FChainConfig::default());
+    let plain_app = plain.add_tenant("default");
     for daemon in &daemons {
-        plain.register_slave(Arc::clone(daemon) as Arc<dyn SlaveEndpoint>);
+        plain.register_slave(plain_app, Arc::clone(daemon) as Arc<dyn SlaveEndpoint>);
     }
     let faults = vec![SlaveFault::None; 4];
-    let wrapped = master_with_faults(&daemons, &faults, FChainConfig::default());
+    let (wrapped, wrapped_app) = master_with_faults(&daemons, &faults, FChainConfig::default());
 
-    let plain_report = plain.on_violation(990);
-    let wrapped_report = wrapped.on_violation(990);
+    let plain_report = plain.diagnose(plain_app, 990);
+    let wrapped_report = wrapped.diagnose(wrapped_app, 990);
     assert_eq!(plain_report, wrapped_report);
-    assert_eq!(plain_report, plain.on_violation_sequential(990));
+    assert_eq!(plain_report, plain.diagnose_sequential(plain_app, 990));
     assert_eq!(plain_report.pinpointed, vec![ComponentId(1)]);
     assert!(plain_report.coverage.is_complete());
     assert_eq!(plain_report.coverage.coverage, 1.0);
@@ -207,10 +211,11 @@ fn validation_never_probes_unreachable_components() {
         SlaveFault::None,
         SlaveFault::Crash,
     ];
-    let master = master_with_faults(&daemons, &faults, degraded_config());
+    let (master, app) = master_with_faults(&daemons, &faults, degraded_config());
 
     let mut probe = RecordingProbe::default();
-    let report = master.on_violation_validated(990, &mut probe);
+    let mut report = master.diagnose(app, 990);
+    validate_pinpointing(&mut report, &mut probe);
 
     let blind = &report.coverage.unreachable_components;
     assert_eq!(blind, &[ComponentId(1), ComponentId(3)]);
@@ -248,12 +253,12 @@ fn coverage_is_a_slave_fraction_not_a_component_fraction() {
     for c in 1..4 {
         feed(&big, c, 1000, None);
     }
-    let master = master_with_faults(
+    let (master, app) = master_with_faults(
         &[small, big],
         &[SlaveFault::None, SlaveFault::Crash],
         degraded_config(),
     );
-    let report = master.on_violation(990);
+    let report = master.diagnose(app, 990);
     let cov = &report.coverage;
     assert_eq!(cov.slaves, vec![SlaveStatus::Ok, SlaveStatus::Unreachable]);
     // 1 of 2 slaves answered ...

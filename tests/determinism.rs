@@ -7,11 +7,10 @@
 //! synthetic streams (gaps, duplicates, out-of-order ticks, outages that
 //! reset the series, injected step faults).
 
-use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
 use fchain::core::{
-    AnalysisEngine, FChainConfig, FaultySlave, FleetMaster, FleetViolation, SlaveEndpoint,
-    SlaveFault, TenantSlave,
+    AnalysisEngine, CollectRequest, FChainConfig, FaultySlave, FleetMaster, FleetViolation,
+    SlaveEndpoint, SlaveFault, TenantSlave,
 };
 use fchain::eval::case_from_run;
 use fchain::metrics::{AppId, ComponentId, MetricKind};
@@ -29,9 +28,14 @@ fn engine_config(engine: AnalysisEngine) -> FChainConfig {
 
 /// Simulates one seeded run, streams every component's metrics into
 /// per-host slave daemons (two hosts, components split round-robin, so the
-/// master-level fan-out is exercised too), and returns the wired master
-/// plus the violation tick.
-fn master_from_seeded_run(app: AppKind, fault: FaultKind, seed: u64) -> Option<(Master, u64)> {
+/// master-level fan-out is exercised too), and returns the wired
+/// single-app master (a fleet of one tenant named `"default"`), its
+/// tenant and the violation tick.
+fn master_from_seeded_run(
+    app: AppKind,
+    fault: FaultKind,
+    seed: u64,
+) -> Option<(FleetMaster, AppId, u64)> {
     master_from_seeded_run_with(app, fault, seed, false, &FChainConfig::default())
 }
 
@@ -45,7 +49,7 @@ fn master_from_seeded_run_with(
     seed: u64,
     wrap: bool,
     config: &FChainConfig,
-) -> Option<(Master, u64)> {
+) -> Option<(FleetMaster, AppId, u64)> {
     let run = Simulator::new(RunConfig::new(app, fault, seed)).run();
     let case = case_from_run(&run, 100)?;
     let hosts: Vec<Arc<SlaveDaemon>> = (0..2)
@@ -64,25 +68,29 @@ fn master_from_seeded_run_with(
             }
         }
     }
-    let mut master = Master::new(config.clone());
+    let mut master = FleetMaster::new(config.clone());
+    let tenant = master.add_tenant("default");
     for host in hosts {
         if wrap {
-            master.register_slave(Arc::new(FaultySlave::new(
-                host as Arc<dyn SlaveEndpoint>,
-                SlaveFault::None,
-            )));
+            master.register_slave(
+                tenant,
+                Arc::new(FaultySlave::new(
+                    host as Arc<dyn SlaveEndpoint>,
+                    SlaveFault::None,
+                )),
+            );
         } else {
-            master.register_slave(host);
+            master.register_slave(tenant, host);
         }
     }
     if let Some(deps) = case.discovered_deps.clone() {
-        master.set_dependencies(deps);
+        master.set_dependencies(tenant, deps);
     }
-    Some((master, case.violation_at))
+    Some((master, tenant, case.violation_at))
 }
 
 /// Builds a [`FleetMaster`] with a single tenant wired exactly like
-/// [`master_from_seeded_run_with`] wires its `Master`: two shared-pool
+/// [`master_from_seeded_run_with`] wires its single-app master: two shared-pool
 /// hosts, components split round-robin, every slave registered as a
 /// tenant-scoped view.
 fn fleet_from_seeded_run(
@@ -126,17 +134,17 @@ fn fleet_from_seeded_run(
 fn assert_parity(app: AppKind, fault: FaultKind, seeds: &[u64]) {
     let mut compared = 0;
     for &seed in seeds {
-        let Some((master, violation_at)) = master_from_seeded_run(app, fault, seed) else {
+        let Some((master, tenant, violation_at)) = master_from_seeded_run(app, fault, seed) else {
             continue;
         };
-        let parallel = master.on_violation(violation_at);
-        let sequential = master.on_violation_sequential(violation_at);
+        let parallel = master.diagnose(tenant, violation_at);
+        let sequential = master.diagnose_sequential(tenant, violation_at);
         assert_eq!(
             parallel, sequential,
             "{app:?}/{fault:?} seed {seed}: parallel and sequential reports diverge"
         );
         // Re-running the parallel path must also be stable with itself.
-        assert_eq!(parallel, master.on_violation(violation_at));
+        assert_eq!(parallel, master.diagnose(tenant, violation_at));
         compared += 1;
     }
     assert!(
@@ -170,12 +178,12 @@ fn systems_reports_are_identical_across_paths() {
 fn disabled_fault_injection_is_invisible() {
     let mut compared = 0;
     for &seed in &[900u64, 901, 902, 903] {
-        let Some((plain, violation_at)) =
+        let Some((plain, plain_tenant, violation_at)) =
             master_from_seeded_run(AppKind::Rubis, FaultKind::CpuHog, seed)
         else {
             continue;
         };
-        let (wrapped, _) = master_from_seeded_run_with(
+        let (wrapped, wrapped_tenant, _) = master_from_seeded_run_with(
             AppKind::Rubis,
             FaultKind::CpuHog,
             seed,
@@ -183,15 +191,15 @@ fn disabled_fault_injection_is_invisible() {
             &FChainConfig::default(),
         )
         .expect("same seed must produce the same case");
-        let reference = plain.on_violation(violation_at);
+        let reference = plain.diagnose(plain_tenant, violation_at);
         assert_eq!(
             reference,
-            wrapped.on_violation(violation_at),
+            wrapped.diagnose(wrapped_tenant, violation_at),
             "seed {seed}: a no-op FaultySlave changed the parallel report"
         );
         assert_eq!(
             reference,
-            wrapped.on_violation_sequential(violation_at),
+            wrapped.diagnose_sequential(wrapped_tenant, violation_at),
             "seed {seed}: a no-op FaultySlave changed the sequential report"
         );
         compared += 1;
@@ -214,15 +222,16 @@ fn batch_and_streaming_engines_agree_on_seeded_runs() {
     for (app, fault, seed) in cases {
         let batch_cfg = engine_config(AnalysisEngine::Batch);
         let streaming_cfg = engine_config(AnalysisEngine::Streaming);
-        let Some((batch, violation_at)) =
+        let Some((batch, batch_tenant, violation_at)) =
             master_from_seeded_run_with(app, fault, seed, false, &batch_cfg)
         else {
             continue;
         };
-        let (streaming, _) = master_from_seeded_run_with(app, fault, seed, false, &streaming_cfg)
-            .expect("same seed must produce the same case");
-        let batch_report = batch.on_violation(violation_at);
-        let streaming_report = streaming.on_violation(violation_at);
+        let (streaming, streaming_tenant, _) =
+            master_from_seeded_run_with(app, fault, seed, false, &streaming_cfg)
+                .expect("same seed must produce the same case");
+        let batch_report = batch.diagnose(batch_tenant, violation_at);
+        let streaming_report = streaming.diagnose(streaming_tenant, violation_at);
         // `DiagnosisReport::eq` ignores the provenance fields, so this is
         // exactly "same verdict, same pinpointing, same findings, bit for
         // bit".
@@ -237,10 +246,11 @@ fn batch_and_streaming_engines_agree_on_seeded_runs() {
     assert!(compared >= 3, "only {compared} seeded cases fired");
 }
 
-/// A fleet of one tenant must produce bit-identical diagnosis payloads
-/// to the single-app `Master` wrapper — same golden campaign cases, both
-/// engines, both drain paths. This is the contract that lets the
-/// single-app API stay a thin wrapper over the fleet layer.
+/// A fleet of one tenant over tenant-scoped pool views must produce
+/// bit-identical diagnosis payloads to the single-app master (a fleet of
+/// one over whole daemons) — same golden campaign cases, both engines,
+/// both drain paths. This is the contract that lets one fleet layer
+/// serve both deployments.
 #[test]
 fn fleet_of_one_matches_the_single_app_master() {
     let cases = [
@@ -253,7 +263,7 @@ fn fleet_of_one_matches_the_single_app_master() {
     for engine in [AnalysisEngine::Batch, AnalysisEngine::Streaming] {
         let config = engine_config(engine);
         for (app, fault, seed) in cases {
-            let Some((master, violation_at)) =
+            let Some((master, master_tenant, violation_at)) =
                 master_from_seeded_run_with(app, fault, seed, false, &config)
             else {
                 continue;
@@ -272,13 +282,13 @@ fn fleet_of_one_matches_the_single_app_master() {
             // `DiagnosisReport::eq` ignores provenance, so this is "same
             // verdict, same pinpointing, same findings, bit for bit".
             assert_eq!(
-                master.on_violation(violation_at),
+                master.diagnose(master_tenant, violation_at),
                 drained[0].report,
                 "{app:?}/{fault:?} seed {seed} ({engine:?}): fleet drain diverges"
             );
             let sequential = fleet.on_violations_sequential(&[violation]);
             assert_eq!(
-                master.on_violation_sequential(violation_at),
+                master.diagnose_sequential(master_tenant, violation_at),
                 sequential[0].report,
                 "{app:?}/{fault:?} seed {seed} ({engine:?}): sequential drain diverges"
             );
@@ -307,7 +317,9 @@ fn disabled_ensemble_is_invisible_and_enabled_is_deterministic() {
     );
     let mut compared = 0;
     for (app, fault, seed) in cases {
-        let Some((reference, violation_at)) = master_from_seeded_run(app, fault, seed) else {
+        let Some((reference, reference_tenant, violation_at)) =
+            master_from_seeded_run(app, fault, seed)
+        else {
             continue;
         };
         // Disabled stage, every other knob scrambled: still bit-identical.
@@ -316,21 +328,23 @@ fn disabled_ensemble_is_invisible_and_enabled_is_deterministic() {
         scrambled.ensemble.coverage_penalty = 17.0;
         scrambled.ensemble.centrality_widening = false;
         scrambled.ensemble.silent_hole = false;
-        let (gated, _) = master_from_seeded_run_with(app, fault, seed, false, &scrambled)
-            .expect("same seed must produce the same case");
+        let (gated, gated_tenant, _) =
+            master_from_seeded_run_with(app, fault, seed, false, &scrambled)
+                .expect("same seed must produce the same case");
         assert_eq!(
-            reference.on_violation(violation_at),
-            gated.on_violation(violation_at),
+            reference.diagnose(reference_tenant, violation_at),
+            gated.diagnose(gated_tenant, violation_at),
             "{app:?}/{fault:?} seed {seed}: a disabled ensemble changed the report"
         );
         // Enabled stage: parallel and sequential drains stay identical.
         let mut enabled = FChainConfig::default();
         enabled.ensemble.enabled = true;
-        let (ensembled, _) = master_from_seeded_run_with(app, fault, seed, false, &enabled)
-            .expect("same seed must produce the same case");
+        let (ensembled, ensembled_tenant, _) =
+            master_from_seeded_run_with(app, fault, seed, false, &enabled)
+                .expect("same seed must produce the same case");
         assert_eq!(
-            ensembled.on_violation(violation_at),
-            ensembled.on_violation_sequential(violation_at),
+            ensembled.diagnose(ensembled_tenant, violation_at),
+            ensembled.diagnose_sequential(ensembled_tenant, violation_at),
             "{app:?}/{fault:?} seed {seed}: ensemble drain paths diverge"
         );
         compared += 1;
@@ -399,11 +413,11 @@ fn socket_transports_match_in_process_reports() {
 
     for engine in [AnalysisEngine::Batch, AnalysisEngine::Streaming] {
         let config = engine_config(engine);
-        let (reference, violation_at) =
+        let (reference, reference_tenant, violation_at) =
             master_from_seeded_run_with(app, fault, seed, false, &config)
                 .expect("seed 900 fires the SLO");
-        let reference_parallel = reference.on_violation(violation_at);
-        let reference_sequential = reference.on_violation_sequential(violation_at);
+        let reference_parallel = reference.diagnose(reference_tenant, violation_at);
+        let reference_sequential = reference.diagnose_sequential(reference_tenant, violation_at);
 
         for transport in ["uds", "tcp"] {
             let daemons: Vec<_> = (0..2)
@@ -439,21 +453,22 @@ fn socket_transports_match_in_process_reports() {
                         .expect("ingest over the socket");
                 }
             }
-            let mut master = Master::new(config.clone());
+            let mut master = FleetMaster::new(config.clone());
+            let tenant = master.add_tenant("default");
             for remote in &remotes {
-                master.register_slave(Arc::clone(remote) as Arc<dyn SlaveEndpoint>);
+                master.register_slave(tenant, Arc::clone(remote) as Arc<dyn SlaveEndpoint>);
             }
             if let Some(deps) = case.discovered_deps.clone() {
-                master.set_dependencies(deps);
+                master.set_dependencies(tenant, deps);
             }
             assert_eq!(
                 reference_parallel,
-                master.on_violation(violation_at),
+                master.diagnose(tenant, violation_at),
                 "{engine:?}/{transport}: socket report diverges from in-process"
             );
             assert_eq!(
                 reference_sequential,
-                master.on_violation_sequential(violation_at),
+                master.diagnose_sequential(tenant, violation_at),
                 "{engine:?}/{transport}: sequential socket report diverges"
             );
             for remote in &remotes {
@@ -563,9 +578,14 @@ proptest! {
         }
         prop_assert_eq!(batch.monitored_components(), streaming.monitored_components());
         for violation_at in [n - 1, n.saturating_sub(7), n / 2] {
+            let request = CollectRequest {
+                violation_at,
+                sequential: true,
+                ..CollectRequest::default()
+            };
             prop_assert_eq!(
-                batch.analyze_all_sequential(violation_at),
-                streaming.analyze_all_sequential(violation_at),
+                batch.analyze_all(&request),
+                streaming.analyze_all(&request),
                 "engines diverge at violation tick {}", violation_at
             );
         }

@@ -10,7 +10,6 @@
 //!   counters instead of double-counting (with instrumentation compiled
 //!   out the test is vacuous and skips).
 
-use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
 use fchain::core::{
     FChainConfig, FleetMaster, FleetViolation, SlaveEndpoint, TenantSlave, Verdict,
@@ -168,12 +167,14 @@ fn tenant_deadline_never_shrinks_the_evidence_window() {
 fn duplicate_slave_registration_is_a_no_op_everywhere() {
     let config = FChainConfig::default();
 
-    // Single-app API: re-registering the same endpoint is rejected.
-    let mut master = Master::new(config.clone());
+    // Single-app master (a fleet of one): re-registering the same
+    // endpoint is rejected.
+    let mut master = FleetMaster::new(config.clone());
+    let app = master.add_tenant("default");
     let daemon = Arc::new(SlaveDaemon::new(config.clone()));
-    assert!(master.register_slave(Arc::clone(&daemon) as Arc<dyn SlaveEndpoint>));
-    assert!(!master.register_slave(Arc::clone(&daemon) as Arc<dyn SlaveEndpoint>));
-    assert_eq!(master.slave_count(), 1);
+    assert!(master.register_slave(app, Arc::clone(&daemon) as Arc<dyn SlaveEndpoint>));
+    assert!(!master.register_slave(app, Arc::clone(&daemon) as Arc<dyn SlaveEndpoint>));
+    assert_eq!(master.slave_count(app), 1);
 
     // Fleet API: the same rejection per tenant — but two tenants may each
     // hold their own view of one shared daemon.

@@ -8,11 +8,10 @@
 //! backpressure policy must account for each offered sample exactly, even
 //! with many writers hammering the rings concurrently.
 
-use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
 use fchain::core::{
-    AnalysisEngine, BackpressurePolicy, DiagnosisReport, FChainConfig, IngestConfig, IngestService,
-    PushOutcome,
+    AnalysisEngine, BackpressurePolicy, CollectRequest, DiagnosisReport, FChainConfig, FleetMaster,
+    IngestConfig, IngestService, PushOutcome,
 };
 use fchain::eval::case_from_run;
 use fchain::metrics::{AppId, ComponentId, MetricKind};
@@ -81,10 +80,16 @@ fn findings_via(
     } else {
         feed(&|s| daemon.ingest_for(tenant, s));
     }
-    Some(daemon.analyze_all_for(tenant, case.violation_at))
+    Some(daemon.analyze_all(&CollectRequest {
+        app: Some(tenant),
+        violation_at: case.violation_at,
+        lookback: None,
+        sequential: false,
+    }))
 }
 
-/// Builds a fully wired two-host [`Master`] for one seeded case — hosts
+/// Builds a fully wired two-host single-app master (a fleet of one tenant
+/// named `"default"`) for one seeded case — hosts
 /// fed either synchronously or through per-host ingest services — and
 /// returns its report at the violation tick.
 fn report_via(
@@ -144,14 +149,15 @@ fn report_via(
         let stats = svc.shutdown();
         assert_eq!(stats.lost(), 0, "block policy must lose nothing");
     }
-    let mut master = Master::new(config);
+    let mut master = FleetMaster::new(config);
+    let tenant = master.add_tenant("default");
     for host in hosts {
-        master.register_slave(host);
+        master.register_slave(tenant, host);
     }
     if let Some(deps) = case.discovered_deps.clone() {
-        master.set_dependencies(deps);
+        master.set_dependencies(tenant, deps);
     }
-    Some(master.on_violation(case.violation_at))
+    Some(master.diagnose(tenant, case.violation_at))
 }
 
 #[test]

@@ -382,7 +382,7 @@ mod golden {
 /// cheap enough for online use.
 #[test]
 fn warm_diagnosis_is_fast() {
-    use fchain::core::master::Master;
+    use fchain::core::master::FleetMaster;
     use fchain::core::slave::{MetricSample, SlaveDaemon};
     use fchain::metrics::{ComponentId, MetricKind};
     use std::sync::Arc;
@@ -406,10 +406,11 @@ fn warm_diagnosis_is_fast() {
             }
         }
     }
-    let mut master = Master::new(FChainConfig::default());
-    master.register_slave(slave);
+    let mut master = FleetMaster::new(FChainConfig::default());
+    let app = master.add_tenant("default");
+    master.register_slave(app, slave);
     let start = std::time::Instant::now();
-    let report = master.on_violation(1190);
+    let report = master.diagnose(app, 1190);
     let elapsed = start.elapsed();
     assert_eq!(report.pinpointed, vec![ComponentId(3)]);
     assert!(

@@ -5,9 +5,8 @@
 //! return within its deadline budget instead of hanging on the socket.
 //! (The bit-identical parity half is pinned in `tests/determinism.rs`.)
 
-use fchain::core::master::Master;
 use fchain::core::slave::MetricSample;
-use fchain::core::{FChainConfig, SlaveEndpoint, SlaveStatus};
+use fchain::core::{FChainConfig, FleetMaster, SlaveEndpoint, SlaveStatus};
 use fchain::metrics::{AppId, ComponentId, MetricKind};
 use fchain::wire::{RemoteSlave, WireAddr};
 use std::io::BufRead;
@@ -124,13 +123,14 @@ fn feed_remote(remote: &RemoteSlave, c: u32, n: u64, fault_at: Option<u64>) {
     }
 }
 
-/// A master wired to the given daemons over real sockets, one
-/// [`RemoteSlave`] per daemon, with component `i` (faulty on daemon 0)
-/// fed to daemon `i`.
-fn remote_master(daemons: &[&Daemon]) -> (Master, Vec<Arc<RemoteSlave>>) {
+/// A single-app master (a fleet of one tenant named `"default"`) wired
+/// to the given daemons over real sockets, one [`RemoteSlave`] per
+/// daemon, with component `i` (faulty on daemon 0) fed to daemon `i`.
+fn remote_master(daemons: &[&Daemon]) -> (FleetMaster, AppId, Vec<Arc<RemoteSlave>>) {
     let config = wire_config();
     let deadline = Some(Duration::from_millis(config.slave_deadline_ms));
-    let mut master = Master::new(config);
+    let mut master = FleetMaster::new(config);
+    let app = master.add_tenant("default");
     let mut remotes = Vec::new();
     for (i, daemon) in daemons.iter().enumerate() {
         let remote = Arc::new(
@@ -138,10 +138,10 @@ fn remote_master(daemons: &[&Daemon]) -> (Master, Vec<Arc<RemoteSlave>>) {
                 .expect("connect to the daemon"),
         );
         feed_remote(&remote, i as u32, 1000, (i == 0).then_some(940));
-        master.register_slave(Arc::clone(&remote) as Arc<dyn SlaveEndpoint>);
+        master.register_slave(app, Arc::clone(&remote) as Arc<dyn SlaveEndpoint>);
         remotes.push(remote);
     }
-    (master, remotes)
+    (master, app, remotes)
 }
 
 /// Two healthy daemons over UDS: the fan-out crosses real sockets and
@@ -150,8 +150,8 @@ fn remote_master(daemons: &[&Daemon]) -> (Master, Vec<Arc<RemoteSlave>>) {
 fn healthy_daemons_answer_over_sockets() {
     let d0 = Daemon::spawn_uds();
     let d1 = Daemon::spawn_uds();
-    let (master, remotes) = remote_master(&[&d0, &d1]);
-    let report = master.on_violation(990);
+    let (master, app, remotes) = remote_master(&[&d0, &d1]);
+    let report = master.diagnose(app, 990);
     assert_eq!(report.pinpointed, vec![ComponentId(0)]);
     assert!(report.coverage.is_complete());
     assert_eq!(
@@ -171,16 +171,16 @@ fn healthy_daemons_answer_over_sockets() {
 fn killed_daemon_becomes_a_blind_spot_without_hanging() {
     let d0 = Daemon::spawn_uds();
     let mut d1 = Daemon::spawn_uds();
-    let (master, _remotes) = remote_master(&[&d0, &d1]);
+    let (master, app, _remotes) = remote_master(&[&d0, &d1]);
 
     // Sanity: both daemons answer before the kill.
-    assert!(master.on_violation(990).coverage.is_complete());
+    assert!(master.diagnose(app, 990).coverage.is_complete());
 
     d1.child.kill().expect("kill the daemon");
     d1.child.wait().expect("reap the daemon");
 
     let started = Instant::now();
-    let report = master.on_violation(990);
+    let report = master.diagnose(app, 990);
     let elapsed = started.elapsed();
     assert!(
         elapsed < Duration::from_secs(5),
@@ -205,14 +205,14 @@ fn killed_daemon_becomes_a_blind_spot_without_hanging() {
 fn stalled_daemon_is_abandoned_at_the_deadline() {
     let d0 = Daemon::spawn_tcp();
     let d1 = Daemon::spawn_tcp();
-    let (master, _remotes) = remote_master(&[&d0, &d1]);
+    let (master, app, _remotes) = remote_master(&[&d0, &d1]);
 
-    assert!(master.on_violation(990).coverage.is_complete());
+    assert!(master.diagnose(app, 990).coverage.is_complete());
 
     d1.stall();
 
     let started = Instant::now();
-    let report = master.on_violation(990);
+    let report = master.diagnose(app, 990);
     let elapsed = started.elapsed();
     // One deadline for the collect read, one for the blind-spot
     // inventory refresh (which falls back to the cache), plus slack.
