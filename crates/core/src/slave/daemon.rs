@@ -3,9 +3,11 @@
 //! In deployment a slave runs inside Domain 0 of every cloud node,
 //! sampling each guest VM's six metrics once per second and keeping the
 //! online prediction models warm (paper Fig. 1). When the master reports
-//! an SLO violation it does **not** retrain anything — it already holds
-//! the causal prediction-error series and the recent sample history, and
-//! only the look-back window analysis runs on demand.
+//! an SLO violation at the configured window it does **not** retrain
+//! anything — it already holds the causal prediction-error series, the
+//! recent sample history and the error floor, and only the look-back
+//! window analysis runs on demand, over the window's suffix of the
+//! stored history.
 //!
 //! [`SlaveDaemon`] is that incremental runtime: feed it one
 //! [`MetricSample`] per metric per tick, and ask for a component's
@@ -25,7 +27,7 @@ use crate::report::{AbnormalChange, ComponentFinding};
 use crate::slave::derived::DerivedSeries;
 use crate::slave::selection::{
     error_floor_from_parts, select_abnormal_changes, select_abnormal_changes_streaming,
-    SelectionScratch,
+    suffix_starts, SelectionScratch,
 };
 use fchain_metrics::{
     stats, AppId, ComponentId, MetricKind, PercentileSketch, Tick, TieredSeries, COLD_BLOCK_SAMPLES,
@@ -43,11 +45,13 @@ use std::sync::Arc;
 const MAX_GAP_FILL: u64 = 30;
 
 /// Raw hot-suffix length for a look-back window: the streaming sketch
-/// reads `errors[len − 1 − W]` on every push and the window analysis
-/// reads the last `W` samples, so the hot tier must cover `W + 2`;
-/// rounding up to whole cold blocks keeps freezes block-aligned.
-fn hot_capacity_for(lookback: u64) -> usize {
-    let need = lookback as usize + 2;
+/// reads `errors[len − 1 − W]` on every push, and a sketch-floored
+/// analysis reads errors from `window_start − 2 = len − W − 3` (the fast
+/// screen), so the hot tier must cover `W + 3` for both to stay out of
+/// the shadow replay; rounding up to whole cold blocks keeps freezes
+/// block-aligned.
+pub(super) fn hot_capacity_for(lookback: u64) -> usize {
+    let need = lookback as usize + 3;
     need.div_ceil(COLD_BLOCK_SAMPLES) * COLD_BLOCK_SAMPLES
 }
 
@@ -137,8 +141,12 @@ impl MetricState {
         if !self.sketch_ok {
             // One shadow replay regenerates the whole span; the paired
             // value reads decode each cold block at most once.
-            self.sketch
-                .rebuild(self.errors.range_vec(cal, len - w, &self.values));
+            let mut span = Vec::new();
+            let replayed = self
+                .errors
+                .copy_range_into(cal, len - w, &self.values, &mut span);
+            obs::count(obs::Counter::ErrorHistoryReplayed, replayed as u64);
+            self.sketch.rebuild(span);
             self.sketch_ok = true;
             return;
         }
@@ -165,11 +173,29 @@ impl MetricState {
         let max_normal = sorted.last().copied().unwrap_or(0.0);
         error_floor_from_parts(p90, p99, max_normal, config)
     }
+
+    /// Reads values `[hist_start, end)` into `hist` and errors
+    /// `[errors_start, end)` into `errs` — the one violation-time read,
+    /// whatever the suffix. Counts the error samples the shadow learner
+    /// had to replay.
+    fn read_suffix(
+        &self,
+        (hist_start, errors_start): (usize, usize),
+        end: usize,
+        hist: &mut Vec<f64>,
+        errs: &mut Vec<f64>,
+    ) {
+        self.values.copy_range_into(hist_start, end, hist);
+        let replayed = self
+            .errors
+            .copy_range_into(errors_start, end, &self.values, errs);
+        obs::count(obs::Counter::ErrorHistoryReplayed, replayed as u64);
+    }
 }
 
-/// The streaming engine's per-component violation-time buffers: the ring
-/// snapshots and the selection pipeline's scratch, allocated on the first
-/// analysis and reused for every later one.
+/// The streaming engine's per-component violation-time buffers: the
+/// stored-history suffix reads and the selection pipeline's scratch,
+/// allocated on the first analysis and reused for every later one.
 #[derive(Debug)]
 struct AnalysisScratch {
     hist: Vec<f64>,
@@ -248,6 +274,10 @@ pub struct SlaveDaemon {
     config: FChainConfig,
     /// How many recent samples each metric retains.
     capacity: usize,
+    /// Most threads one collect fans out to: the host's available
+    /// parallelism, read once at construction (the query reads cgroup
+    /// files) and fixed for the daemon's lifetime.
+    workers: usize,
     /// Shard directory, keyed by `(tenant, component)`: one daemon pool
     /// hosts metric state for many tenant applications, each component's
     /// six series under its own lock. The outer lock is held only long
@@ -267,6 +297,7 @@ impl SlaveDaemon {
         SlaveDaemon {
             config,
             capacity,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             shards: Mutex::new(BTreeMap::new()),
         }
     }
@@ -508,10 +539,16 @@ impl SlaveDaemon {
     /// has never been monitored.
     ///
     /// Unlike the batch path ([`crate::slave::analyze_component`]) no
-    /// model training happens here — the errors were computed as the
-    /// samples arrived, which is what keeps the on-demand cost at the
-    /// "abnormal change point selection" line of Table II instead of the
-    /// "normal fluctuation modeling" line times the history length.
+    /// model training happens here when the streaming engine holds the
+    /// sketch floor (the violation is at the latest tick, at the
+    /// configured `W`): the errors were computed as the samples arrived
+    /// and the window's suffix of them is still raw, which is what keeps
+    /// the on-demand cost at the "abnormal change point selection" line
+    /// of Table II instead of the "normal fluctuation modeling" line
+    /// times the history length. An analysis whose error floor must come
+    /// from the history (a window override, a trimmed tail, a series not
+    /// yet steady, or the batch engine) regenerates the older errors by
+    /// replaying the shadow learner over the stored values.
     pub fn analyze(&self, component: ComponentId, violation_at: Tick) -> Option<ComponentFinding> {
         self.analyze_for(AppId::default(), component, violation_at)
     }
@@ -576,23 +613,25 @@ impl SlaveDaemon {
             if state.values.len() <= drop_tail + 40 {
                 continue;
             }
+            let end = state.values.len() - drop_tail;
             let change = if streaming {
                 let scratch = comp.scratch.as_mut().expect("scratch installed above");
-                state.values.copy_into(&mut scratch.hist);
-                state.errors.copy_into(&mut scratch.errs, &state.values);
-                scratch.hist.truncate(state.values.len() - drop_tail);
-                scratch.errs.truncate(state.errors.len() - drop_tail);
                 // The sketch mirrors the normal span of the ring's *full*
                 // contents at the configured window; trimming a tail moves
                 // the span and a per-call look-back override moves the
                 // window boundary, so the O(1) floor only applies when
-                // neither happened.
+                // neither happened. With it the selection reads only the
+                // window's suffix; without it the floor needs the whole
+                // history.
                 let floor_hint =
                     (drop_tail == 0 && state.sketch_ok && lookback == self.config.lookback)
                         .then(|| state.sketch_floor(&self.config));
+                let starts = suffix_starts(end, lookback, &self.config, floor_hint.is_none());
+                state.read_suffix(starts, end, &mut scratch.hist, &mut scratch.errs);
                 select_abnormal_changes_streaming(
                     &scratch.hist,
                     &scratch.errs,
+                    starts.1 - starts.0,
                     kind,
                     violation_at,
                     lookback,
@@ -601,11 +640,9 @@ impl SlaveDaemon {
                     &mut scratch.selection,
                 )
             } else {
-                let values = state.values.to_vec();
-                let errors = state.errors.to_vec(&state.values);
-                let hist = &values[..values.len() - drop_tail];
-                let errs = &errors[..errors.len() - drop_tail];
-                select_abnormal_changes(hist, errs, kind, violation_at, lookback, &self.config)
+                let (mut hist, mut errs) = (Vec::new(), Vec::new());
+                state.read_suffix((0, 0), end, &mut hist, &mut errs);
+                select_abnormal_changes(&hist, &errs, kind, violation_at, lookback, &self.config)
             };
             if let Some(change) = change {
                 changes.push(change);
@@ -622,7 +659,8 @@ impl SlaveDaemon {
     /// the look-back window ending at `violation_at`, at the configured
     /// `W` unless the request overrides it.
     ///
-    /// Components are analyzed in parallel unless the request is
+    /// Components are analyzed in parallel, on at most the worker count
+    /// fixed when the daemon was constructed, unless the request is
     /// `sequential`; both paths assemble findings in shard-key order, so
     /// they are bit-identical (each component's analysis is independent
     /// and deterministic). A window override other than the configured
@@ -641,10 +679,7 @@ impl SlaveDaemon {
         let workers = if request.sequential {
             1
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(shards.len())
+            self.workers.min(shards.len())
         };
         if workers <= 1 {
             return shards
@@ -1165,6 +1200,86 @@ mod tests {
                 let direct = crate::slave::selection::compute_error_floor(span, &config, &mut buf);
                 assert_eq!(state.sketch.len(), span.len());
                 assert_eq!(state.sketch_floor(&config).to_bits(), direct.to_bits());
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::slave::selection::reach;
+    use proptest::prelude::*;
+
+    /// Deterministic jitter in `[0, 1)` for `(seed, tick, metric)`.
+    fn jitter(seed: u64, t: u64, kind: MetricKind) -> f64 {
+        let mut x = seed ^ t.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ ((kind.index() as u64) << 56);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (x ^ (x >> 31)) as f64 / u64::MAX as f64
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A sketch-floored analysis reads only the window's suffix of the
+        /// stored history; its findings must equal the batch engine's
+        /// whole-history analysis of the same state, bit for bit. The
+        /// stream wraps the ring (shadow advances, cold value blocks) and
+        /// carries a bridged gap or a series-resetting outage plus
+        /// duplicate and out-of-order ticks. A short calibration lets
+        /// steady series start so close to the ring's head that
+        /// `window_start − reach` clamps to 0.
+        #[test]
+        fn suffix_reads_match_the_batch_engine(
+            (wide, short_cal, clamp) in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+            (tail, extra_capacity, seed) in (0u64..1000, 0usize..200, 0u64..u64::MAX),
+            (amplitude, period) in (0.5f64..12.0, 2u64..30),
+            fault in proptest::option::of((1u64..120, 5.0f64..80.0)),
+            (gap_at, gap_len, dup_every) in (0u64..1200, 0u64..40, 0u64..9),
+            drop_tail in 1u64..6,
+        ) {
+            let lookback = if wide { 126 } else { 100 };
+            let mut config = FChainConfig { lookback, ..FChainConfig::default() };
+            config.learner.calibration_samples = if short_cal { 20 } else { 60 };
+            let cal = config.learner.calibration_samples as u64;
+            let n = lookback + cal + 1 + if clamp { tail % reach(&config) as u64 } else { tail };
+            let capacity = 2 * lookback as usize + extra_capacity;
+            let value = |t: u64, kind: MetricKind| {
+                let normal = 40.0 + (t % period) as f64 + amplitude * jitter(seed, t, kind);
+                match fault {
+                    Some((back, delta)) if kind == MetricKind::Cpu && t + back >= n => normal + delta,
+                    _ => normal,
+                }
+            };
+            let batch = SlaveDaemon::new(FChainConfig {
+                engine: AnalysisEngine::Batch,
+                ..config.clone()
+            })
+            .with_capacity(capacity);
+            let streaming = SlaveDaemon::new(config).with_capacity(capacity);
+            let c = ComponentId(0);
+            for daemon in [&batch, &streaming] {
+                for t in (0..n).filter(|t| !(gap_at..gap_at + gap_len).contains(t)) {
+                    for kind in [MetricKind::Cpu, MetricKind::Memory] {
+                        let sample = |tick| MetricSample { tick, component: c, kind, value: value(tick, kind) };
+                        daemon.ingest(sample(t));
+                        if dup_every > 0 && t % dup_every == 0 && t > 0 {
+                            daemon.ingest(sample(t)); // duplicate: dropped
+                            daemon.ingest(sample(t - 1)); // out of order: dropped
+                        }
+                    }
+                }
+            }
+            for violation_at in [n - 1, n - 1 - drop_tail] {
+                let request = CollectRequest {
+                    violation_at,
+                    sequential: true,
+                    ..CollectRequest::default()
+                };
+                let want = batch.analyze_all(&request);
+                let got = streaming.analyze_all(&request);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "violation at {}", violation_at);
             }
         }
     }

@@ -20,12 +20,15 @@
 //! about to leave the window), amortized by decoding the paired series'
 //! doomed prefix in chunks.
 //!
-//! Deep error reads happen only on sketch rebuilds (series transitions)
-//! and violation-time analyses — both rare — while the per-push read
-//! `errors[len − 1 − W]` stays inside the hot suffix by construction
-//! (`hot ≥ W + 2`). The trade is a replay of at most `capacity` cheap
-//! `feed` calls on those rare paths for the elimination of the one cold
-//! tier that refuses to compress.
+//! The daemon sizes the hot suffix for `W + 3` samples, so neither the
+//! per-push read `errors[len − 1 − W]` nor a sketch-floored analysis
+//! (which reads errors from `len − W − 3`) ever replays. Deep error
+//! reads happen on sketch rebuilds (series transitions) and on analyses
+//! whose error floor comes from the history — a look-back override, a
+//! violation before the latest tick, a series not yet steady, or the
+//! batch engine. Each replays up to `capacity` cheap `feed` calls,
+//! counted as `error_history_replayed`; that is the price of
+//! eliminating the one cold tier that refuses to compress.
 
 use fchain_metrics::TieredSeries;
 use fchain_model::OnlineLearner;
@@ -130,45 +133,49 @@ impl DerivedSeries {
         out
     }
 
-    /// The errors at ring-local `[start, end)` (`end` clamped to the
-    /// length), regenerated in one pass.
-    pub(crate) fn range_vec(&self, start: usize, end: usize, values: &TieredSeries) -> Vec<f64> {
+    /// Copies the errors at ring-local `[start, end)` (`end` clamped to
+    /// the length) into `out`, replacing its contents, and returns how
+    /// many samples the shadow learner re-fed to regenerate them.
+    ///
+    /// A range inside the hot suffix is a plain copy and replays nothing.
+    /// The shadow sits at ring-local index 0, so a range reaching below
+    /// the hot suffix replays every value up to the hot start (or to
+    /// `end`, if sooner): the values are decoded into `out` and each is
+    /// overwritten with its error in place, so the only allocation is the
+    /// shadow clone (and `out` growing on first use).
+    pub(crate) fn copy_range_into(
+        &self,
+        start: usize,
+        end: usize,
+        values: &TieredSeries,
+        out: &mut Vec<f64>,
+    ) -> usize {
+        out.clear();
         let end = end.min(self.len);
         let start = start.min(end);
         let hot_start = self.len - self.hot.len();
-        let mut out = Vec::with_capacity(end - start);
-        if start < hot_start {
-            // One replay covers every below-hot index; the decoded
-            // values iterator opens each cold block once.
+        let mut replayed = 0;
+        if start < end.min(hot_start) {
+            replayed = end.min(hot_start);
+            values.copy_range_into(0, replayed, out);
             let mut shadow = self.shadow.clone();
-            for (j, v) in values.iter_range(0, end.min(hot_start)).enumerate() {
-                let e = shadow.feed(v);
-                if j >= start {
-                    out.push(e);
-                }
+            for x in out.iter_mut() {
+                *x = shadow.feed(*x);
             }
+            out.drain(..start);
         }
-        for i in start.max(hot_start)..end {
-            out.push(self.hot[i - hot_start]);
+        if end > hot_start {
+            let from = start.max(hot_start) - hot_start;
+            out.extend(self.hot.range(from..end - hot_start).copied());
         }
-        out
-    }
-
-    /// Clears `out` and fills it with the whole series, oldest first.
-    pub(crate) fn copy_into(&self, out: &mut Vec<f64>, values: &TieredSeries) {
-        out.clear();
-        let hot_start = self.len - self.hot.len();
-        if hot_start > 0 {
-            let mut shadow = self.shadow.clone();
-            out.extend(values.iter_range(0, hot_start).map(|v| shadow.feed(v)));
-        }
-        out.extend(self.hot.iter().copied());
+        replayed
     }
 
     /// The whole series as a vector, oldest first.
+    #[cfg(test)]
     pub(crate) fn to_vec(&self, values: &TieredSeries) -> Vec<f64> {
         let mut out = Vec::new();
-        self.copy_into(&mut out, values);
+        self.copy_range_into(0, self.len, values, &mut out);
         out
     }
 
@@ -244,17 +251,60 @@ mod tests {
         }
     }
 
+    /// `errors[start..end]` through the range read, with its replay count.
+    fn range(
+        errors: &DerivedSeries,
+        values: &TieredSeries,
+        start: usize,
+        end: usize,
+    ) -> (Vec<f64>, usize) {
+        // A dirty buffer: the read must replace its contents.
+        let mut out = vec![f64::NAN; 7];
+        let replayed = errors.copy_range_into(start, end, values, &mut out);
+        (out, replayed)
+    }
+
     #[test]
     fn range_reads_stitch_replay_and_hot() {
         let (values, errors, reference) = build(4200, 4000, 512);
         // Straddles the replay/hot boundary (hot starts at 4000 − 512).
-        let span = errors.range_vec(3400, 3600, &values);
+        let (span, replayed) = range(&errors, &values, 3400, 3600);
         assert_eq!(span.len(), 200);
+        assert_eq!(replayed, 3488);
         for (i, e) in span.iter().enumerate() {
             assert_eq!(e.to_bits(), reference[3400 + i].to_bits());
         }
-        assert!(errors.range_vec(100, 100, &values).is_empty());
-        assert_eq!(errors.range_vec(3990, 9999, &values).len(), 10);
+        // Wholly below the hot suffix: the replay stops at the range end.
+        let (span, replayed) = range(&errors, &values, 100, 300);
+        assert_eq!(replayed, 300);
+        for (i, e) in span.iter().enumerate() {
+            assert_eq!(e.to_bits(), reference[100 + i].to_bits());
+        }
+        assert_eq!(range(&errors, &values, 100, 100), (Vec::new(), 0));
+        assert_eq!(range(&errors, &values, 3990, 9999).0.len(), 10);
+    }
+
+    #[test]
+    fn window_suffix_reads_replay_nothing() {
+        // The daemon sizes the hot suffix with `hot_capacity_for(W)`; a
+        // sketch-floored analysis reads errors from `len − W − 3`. At
+        // W = 126, `W + 2` is a whole block, so that read is the one a
+        // `W + 2` sizing would push one sample into the replay.
+        for w in [100usize, 126] {
+            let hot = super::super::daemon::hot_capacity_for(w as u64);
+            let (values, errors, reference) = build(4200, 4000, hot);
+            let len = errors.len();
+            let (suffix, replayed) = range(&errors, &values, len - w - 3, len);
+            assert_eq!(replayed, 0, "W = {w}");
+            for (e, r) in suffix.iter().zip(&reference[len - w - 3..]) {
+                assert_eq!(e.to_bits(), r.to_bits(), "W = {w}");
+            }
+            // One sample below the hot suffix replays up to its start.
+            let hot_start = len - hot;
+            let (deep, replayed) = range(&errors, &values, hot_start - 1, len);
+            assert_eq!(replayed, hot_start, "W = {w}");
+            assert_eq!(deep[0].to_bits(), reference[hot_start - 1].to_bits());
+        }
     }
 
     #[test]

@@ -156,6 +156,7 @@ fn analyze_metric(
         Some(scratch) => select_abnormal_changes_streaming(
             hist,
             &errors,
+            0,
             kind,
             violation_at,
             lookback,
@@ -189,6 +190,7 @@ pub fn select_abnormal_changes(
     select_with_scratch(
         hist,
         errors,
+        0,
         kind,
         violation_at,
         lookback,
@@ -204,10 +206,16 @@ pub fn select_abnormal_changes(
 /// daemon's per-metric [`fchain_metrics::PercentileSketch`], which holds
 /// exactly the normal-span multiset), the fast screen enabled and the
 /// CUSUM bootstrap pruned (both provably result-preserving).
+///
+/// `errors` may be a suffix of the error history: `errors[0]` is the
+/// error of `hist[errors_at]`, and both end at `violation_at`. See
+/// [`suffix_starts`] for the shortest suffixes that leave the result
+/// unchanged.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_abnormal_changes_streaming(
     hist: &[f64],
     errors: &[f64],
+    errors_at: usize,
     kind: MetricKind,
     violation_at: Tick,
     lookback: u64,
@@ -218,6 +226,7 @@ pub(crate) fn select_abnormal_changes_streaming(
     select_with_scratch(
         hist,
         errors,
+        errors_at,
         kind,
         violation_at,
         lookback,
@@ -234,10 +243,15 @@ pub(crate) fn select_abnormal_changes_streaming(
 /// shortcuts (the fast screen and the pruned CUSUM bootstrap) may fire —
 /// none of which changes any emitted value, so the engines' findings are
 /// bit-identical by construction.
+///
+/// `errors[0]` is the error of `hist[errors_at]` (0 for a whole
+/// history). Every error index below is computed in `hist` coordinates
+/// and shifted by `errors_at` only at the slice.
 #[allow(clippy::too_many_arguments)]
 fn select_with_scratch(
     hist: &[f64],
     errors: &[f64],
+    errors_at: usize,
     kind: MetricKind,
     violation_at: Tick,
     lookback: u64,
@@ -249,10 +263,14 @@ fn select_with_scratch(
     let _selection_span = obs::time(obs::Stage::SlaveSelection);
     obs::count(obs::Counter::MetricsAnalyzed, 1);
     let n = hist.len();
-    debug_assert_eq!(hist.len(), errors.len(), "errors must align with samples");
+    debug_assert_eq!(
+        n,
+        errors_at + errors.len(),
+        "errors must align with samples"
+    );
     // Degenerate windows: an empty or misaligned history has nothing to
     // select from, and every index computation below assumes `n >= 1`.
-    if n == 0 || errors.len() != n {
+    if n == 0 || errors_at + errors.len() != n {
         return None;
     }
 
@@ -265,7 +283,11 @@ fn select_with_scratch(
     let error_floor = floor_hint.unwrap_or_else(|| {
         let normal_span_start = config.learner.calibration_samples.min(n.saturating_sub(1));
         let normal_span_end = n.saturating_sub(w).max(normal_span_start + 1).min(n);
-        let normal_errors = &errors[normal_span_start..normal_span_end];
+        debug_assert_eq!(
+            errors_at, 0,
+            "a history floor needs the whole error history"
+        );
+        let normal_errors = &errors[normal_span_start - errors_at..normal_span_end - errors_at];
         compute_error_floor(normal_errors, config, &mut scratch.floor_buf)
     });
 
@@ -279,8 +301,11 @@ fn select_with_scratch(
     // no-op. On healthy metrics this screen is the entire violation-time
     // cost.
     if fast_screen {
-        let screen_lo = window_start.saturating_sub(2);
-        let window_max = errors[screen_lo..].iter().copied().fold(0.0, f64::max);
+        let screen_lo = window_start.saturating_sub(BACK_SLACK);
+        let window_max = errors[screen_lo - errors_at..]
+            .iter()
+            .copied()
+            .fold(0.0, f64::max);
         if window_max <= error_floor {
             obs::count(obs::Counter::StreamingScreened, 1);
             return None;
@@ -351,13 +376,15 @@ fn select_with_scratch(
     let mut abnormal: Vec<(ChangePoint, f64, f64)> = Vec::new();
     for cp in &outliers {
         let abs_idx = window_start + cp.index;
-        let real = real_error(errors, abs_idx, config.error_slack as usize);
+        let real = real_error(errors, errors_at, abs_idx, config.error_slack as usize);
         // A genuine regime change keeps surprising the model for several
         // ticks; an isolated noise spike does not. Requiring sustained
         // errors alongside the peak filters one-tick accidents.
-        let sus_hi = (abs_idx + 6).min(errors.len() - 1);
-        let sustained =
-            errors[abs_idx..=sus_hi].iter().sum::<f64>() / (sus_hi - abs_idx + 1) as f64;
+        let sus_hi = (abs_idx + 6).min(n - 1);
+        let sustained = errors[abs_idx - errors_at..=sus_hi - errors_at]
+            .iter()
+            .sum::<f64>()
+            / (sus_hi - abs_idx + 1) as f64;
         if real > expected && sustained > 0.4 * expected {
             abnormal.push((*cp, real, expected));
         }
@@ -450,14 +477,61 @@ fn adaptive_half(window: &[f64], base: usize) -> usize {
     }
 }
 
-/// The real prediction error near a change point: the maximum causal error
-/// in `[idx − 2, idx + slack]` — the change manifests *from* the change
-/// point onward (fast faults take a few ticks to saturate), while only a
-/// small backward allowance covers change-point placement jitter.
-fn real_error(errors: &[f64], idx: usize, slack: usize) -> f64 {
-    let lo = idx.saturating_sub(2);
-    let hi = (idx + slack).min(errors.len() - 1);
+/// How many ticks before a change point [`real_error`] looks: the small
+/// backward allowance for change-point placement jitter.
+const BACK_SLACK: usize = 2;
+
+/// The real prediction error near a change point: the maximum causal
+/// error in `[idx − BACK_SLACK, idx + slack]` — the change manifests
+/// *from* the change point onward (fast faults take a few ticks to
+/// saturate), while only [`BACK_SLACK`] ticks before it cover placement
+/// jitter. `idx` is a history index; `errors[0]` is the error at history
+/// index `errors_at`.
+fn real_error(errors: &[f64], errors_at: usize, idx: usize, slack: usize) -> f64 {
+    let lo = idx.saturating_sub(BACK_SLACK) - errors_at;
+    let hi = (idx + slack - errors_at).min(errors.len() - 1);
     errors[lo..=hi].iter().copied().fold(0.0, f64::max)
+}
+
+/// Ticks kept between a change point and the burstiness window
+/// [`expected_error`] measures before it: change-point placement has a
+/// few ticks of jitter (smoothing blurs onsets), and the guard keeps the
+/// first fault samples out of the "normal burstiness" window.
+fn guard(config: &FChainConfig) -> usize {
+    config.smoothing_half + 2
+}
+
+/// How far before its anchor [`expected_error`] reads the history: the
+/// `2Q` burst samples plus the [`guard`]. The anchor is never before the
+/// window start, so no selection read of `hist` reaches further back
+/// than `window_start − reach`.
+pub(crate) fn reach(config: &FChainConfig) -> usize {
+    2 * config.burst_window as usize + guard(config)
+}
+
+/// The shortest history and error suffixes a selection with a
+/// precomputed error floor reads, as start indices into a history of `n`
+/// samples ending at the violation: values from `window_start − reach`
+/// and errors from `window_start − BACK_SLACK` (the fast screen and the
+/// real error's backward allowance), both clamped at 0. Every index the core
+/// computes is then at or above the suffix start — or the start is 0 and
+/// the suffix is the whole history — so the findings are bit-identical
+/// to a whole-history selection. A floor computed from the history needs
+/// the normal span below the window, hence `(0, 0)`.
+pub(crate) fn suffix_starts(
+    n: usize,
+    lookback: u64,
+    config: &FChainConfig,
+    floor_from_history: bool,
+) -> (usize, usize) {
+    if floor_from_history || n == 0 {
+        return (0, 0);
+    }
+    let window_start = n - 1 - (lookback as usize).min(n - 1);
+    (
+        window_start.saturating_sub(reach(config)),
+        window_start.saturating_sub(BACK_SLACK),
+    )
 }
 
 /// The burst-adaptive expected prediction error for a change point: the
@@ -470,13 +544,8 @@ fn real_error(errors: &[f64], idx: usize, slack: usize) -> f64 {
 /// a large fault inside the window would otherwise raise its own
 /// threshold and mask itself.
 fn expected_error(plan: &mut FftPlan, hist: &[f64], idx: usize, config: &FChainConfig) -> f64 {
-    let q = config.burst_window as usize;
-    // Change-point placement has a few ticks of jitter (smoothing blurs
-    // onsets); the guard keeps the first fault samples out of the
-    // "normal burstiness" window.
-    let guard = config.smoothing_half + 2;
-    let lo = idx.saturating_sub(2 * q + guard);
-    let hi = idx.saturating_sub(1 + guard).max(lo);
+    let lo = idx.saturating_sub(reach(config));
+    let hi = idx.saturating_sub(1 + guard(config)).max(lo);
     config.burst_scale
         * plan.burst_magnitude(
             &hist[lo..=hi.min(hist.len() - 1)],

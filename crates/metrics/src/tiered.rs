@@ -125,12 +125,16 @@ impl ColdBlock {
         (usize::BITS - (len - 1).leading_zeros()).max(1)
     }
 
-    /// Decodes the whole block into `out` (appended).
+    /// Decodes the whole block into `out` (appended). Allocates only if
+    /// `out` must grow.
     fn decode_into(&self, out: &mut Vec<f64>) {
         let mut r = self.bits.reader();
         if r.read_bit() {
             let len = r.read_bits(5) as usize + 1;
-            let dict: Vec<u64> = (0..len).map(|_| r.read_bits(64)).collect();
+            let mut dict = [0u64; DICT_MAX];
+            for slot in &mut dict[..len] {
+                *slot = r.read_bits(64);
+            }
             let width = Self::index_width(len);
             for _ in 0..COLD_BLOCK_SAMPLES {
                 out.push(f64::from_bits(dict[r.read_bits(width) as usize]));
@@ -149,7 +153,10 @@ impl ColdBlock {
         let mut r = self.bits.reader();
         if r.read_bit() {
             let len = r.read_bits(5) as usize + 1;
-            let dict: Vec<u64> = (0..len).map(|_| r.read_bits(64)).collect();
+            let mut dict = [0u64; DICT_MAX];
+            for slot in &mut dict[..len] {
+                *slot = r.read_bits(64);
+            }
             let width = Self::index_width(len);
             let mut idx = r.read_bits(width);
             for _ in 0..offset {
@@ -285,36 +292,41 @@ impl TieredSeries {
         Some(self.cold[j / COLD_BLOCK_SAMPLES].get(j % COLD_BLOCK_SAMPLES))
     }
 
-    /// Copies the window (oldest first) into `out`, reusing its
-    /// allocation. Each cold block is decoded exactly once.
-    pub fn copy_into(&self, out: &mut Vec<f64>) {
+    /// Copies logical indices `[start, end)` (oldest first) into `out`,
+    /// replacing its contents; `end` is clamped to `len()`. Only the cold
+    /// blocks overlapping the range are decoded, each once, straight into
+    /// `out` — a buffer that has grown to the range once is reused with
+    /// no further allocation.
+    pub fn copy_range_into(&self, start: usize, end: usize, out: &mut Vec<f64>) {
         out.clear();
-        out.reserve(self.len());
+        let end = end.min(self.len());
+        let start = start.min(end);
+        // Stored indices of the range, then its cold part.
         let overhang = self.overhang();
-        let mut scratch = Vec::new();
-        for (b, block) in self.cold.iter().enumerate() {
-            let start = b * COLD_BLOCK_SAMPLES;
-            if overhang >= start + COLD_BLOCK_SAMPLES {
-                continue; // fully outside the window (front block only)
-            }
-            if overhang > start {
-                // Straddling block: decode then take the tail.
-                scratch.clear();
-                block.decode_into(&mut scratch);
-                out.extend_from_slice(&scratch[overhang - start..]);
-            } else {
+        let (lo, hi) = (start + overhang, end + overhang);
+        let cold_hi = hi.min(self.cold_samples);
+        if lo < cold_hi {
+            let first = lo / COLD_BLOCK_SAMPLES;
+            let last = (cold_hi - 1) / COLD_BLOCK_SAMPLES;
+            for block in self.cold.range(first..=last) {
                 block.decode_into(out);
             }
+            // Trim the partial blocks at either end.
+            let base = first * COLD_BLOCK_SAMPLES;
+            out.truncate(cold_hi - base);
+            out.drain(..lo - base);
         }
-        let hot_skip = overhang.saturating_sub(self.cold_samples);
-        out.extend(self.hot.iter().skip(hot_skip).copied());
-        debug_assert_eq!(out.len(), self.len());
+        if hi > self.cold_samples {
+            let hot_lo = lo.max(self.cold_samples) - self.cold_samples;
+            out.extend(self.hot.range(hot_lo..hi - self.cold_samples).copied());
+        }
+        debug_assert_eq!(out.len(), end - start);
     }
 
     /// The window as a fresh vector, oldest first.
     pub fn to_vec(&self) -> Vec<f64> {
         let mut out = Vec::new();
-        self.copy_into(&mut out);
+        self.copy_range_into(0, self.len(), &mut out);
         out
     }
 
@@ -457,6 +469,28 @@ mod tests {
         // Ranged read straddling cold blocks and the hot suffix.
         let mid: Vec<f64> = tiered.iter_range(50, 280).collect();
         assert_eq!(&mid[..], &ring.to_vec()[50..280]);
+    }
+
+    #[test]
+    fn range_reads_reuse_the_buffer() {
+        // Dictionary and XOR blocks both: a warmed buffer is refilled in
+        // place, never reallocated, whatever the range's block alignment.
+        let mut tiered = TieredSeries::new(1000, 128);
+        for i in 0..3000u64 {
+            tiered.push(if i % 512 < 256 {
+                (i % 3) as f64
+            } else {
+                (i as f64).sqrt()
+            });
+        }
+        let mut out = Vec::new();
+        tiered.copy_range_into(0, tiered.len(), &mut out);
+        let (ptr, cap) = (out.as_ptr(), out.capacity());
+        for start in [0, 1, 127, 128, 129, 700, 999] {
+            tiered.copy_range_into(start, tiered.len(), &mut out);
+            assert_eq!(out, tiered.to_vec()[start..], "start {start}");
+            assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap), "start {start}");
+        }
     }
 
     #[test]
@@ -617,7 +651,12 @@ mod proptests {
             let points: Vec<u64> = (start..end)
                 .map(|i| tiered.get(i).unwrap().to_bits())
                 .collect();
-            prop_assert_eq!(ranged, points);
+            prop_assert_eq!(&ranged, &points);
+            // The buffer starts dirty: the read must replace it.
+            let mut copied = vec![f64::NAN; 3];
+            tiered.copy_range_into(start, start + span, &mut copied);
+            let copied: Vec<u64> = copied.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(copied, points);
         }
     }
 }

@@ -166,11 +166,16 @@ pub enum Counter {
     /// Empty violation-time fan-outs the master re-collected with a
     /// widened look-back window (the `lookback_retry` knob).
     LookbackRetryWidened,
+    /// Error samples regenerated by replaying stored values through a
+    /// metric's shadow learner: reads of the error history below its raw
+    /// hot suffix (sketch rebuilds and history-floored analyses). Zero
+    /// on sketch-floored diagnoses, which read only the window's suffix.
+    ErrorHistoryReplayed,
 }
 
 impl Counter {
     /// Every counter, in registry order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 31] = [
         Counter::MetricsAnalyzed,
         Counter::ComponentsAnalyzed,
         Counter::ChangePointCandidates,
@@ -201,6 +206,7 @@ impl Counter {
         Counter::IngestRingBlocked,
         Counter::IngestBatchesApplied,
         Counter::LookbackRetryWidened,
+        Counter::ErrorHistoryReplayed,
     ];
 
     /// The counter's slot in the static registry.
@@ -243,6 +249,7 @@ impl Counter {
             Counter::IngestRingBlocked => "ingest_ring_blocked",
             Counter::IngestBatchesApplied => "ingest_batches_applied",
             Counter::LookbackRetryWidened => "lookback_retry_widened",
+            Counter::ErrorHistoryReplayed => "error_history_replayed",
         }
     }
 }

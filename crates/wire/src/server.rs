@@ -227,6 +227,22 @@ impl Drop for WireServer {
 /// without a self-connection trick.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
+/// Whether the accept loop may accept again at once after a failed
+/// `accept`: the call was interrupted, or the peer gave up on its
+/// connection before it was accepted, and the next pending one is
+/// unaffected. Any other error backs off one poll interval: nothing is
+/// pending, or the process is out of descriptors, socket buffers or
+/// memory, which only finished connections free. No error ends the
+/// loop, because a listener this server bound stays valid until
+/// shutdown.
+fn accept_again_at_once(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind;
+    matches!(
+        e.kind(),
+        ErrorKind::Interrupted | ErrorKind::ConnectionAborted | ErrorKind::ConnectionReset
+    )
+}
+
 fn accept_loop(
     listener: Listener,
     daemon: Arc<SlaveDaemon>,
@@ -239,30 +255,36 @@ fn accept_loop(
         Listener::Uds(l) => l.set_nonblocking(true).expect("nonblocking listener"),
     }
     while !shutdown.load(Ordering::SeqCst) {
+        // An accepted stream that cannot be made blocking is dropped
+        // (closing it); the listener keeps serving.
         let accepted = match &listener {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                s.set_nonblocking(false).expect("blocking stream");
-                Stream::Tcp(s)
-            }),
+            Listener::Tcp(l) => l
+                .accept()
+                .map(|(s, _)| s.set_nonblocking(false).is_ok().then_some(Stream::Tcp(s))),
             #[cfg(unix)]
-            Listener::Uds(l) => l.accept().map(|(s, _)| {
-                s.set_nonblocking(false).expect("blocking stream");
-                Stream::Uds(s)
-            }),
+            Listener::Uds(l) => l
+                .accept()
+                .map(|(s, _)| s.set_nonblocking(false).is_ok().then_some(Stream::Uds(s))),
         };
         match accepted {
-            Ok(stream) => {
+            Ok(Some(stream)) => {
                 let daemon = Arc::clone(&daemon);
                 let shutdown = Arc::clone(&shutdown);
-                std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("fchaind-conn".to_string())
-                    .spawn(move || handle_connection(stream, daemon, deadline, shutdown))
-                    .expect("spawn connection handler");
+                    .spawn(move || handle_connection(stream, daemon, deadline, shutdown));
+                if spawned.is_err() {
+                    // Out of threads: the closure, and with it the
+                    // stream, is dropped; back off before the next one.
+                    std::thread::sleep(ACCEPT_POLL);
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
+            Ok(None) => {}
+            Err(e) => {
+                if !accept_again_at_once(&e) {
+                    std::thread::sleep(ACCEPT_POLL);
+                }
             }
-            Err(_) => break,
         }
     }
 }
@@ -335,5 +357,37 @@ fn error_code(e: &WireError) -> u8 {
         WireError::Oversized(_) => 5,
         WireError::Truncated => 6,
         WireError::Corrupt(_) => 7,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io;
+
+    #[test]
+    fn accept_error_kinds_are_classified() {
+        assert!(!accept_again_at_once(&io::ErrorKind::WouldBlock.into()));
+        assert!(accept_again_at_once(&io::ErrorKind::Interrupted.into()));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn linux_accept_errors_are_classified() {
+        // Raw errno values of x86-64/aarch64 Linux.
+        const EINTR: i32 = 4;
+        const EAGAIN: i32 = 11;
+        const ENOMEM: i32 = 12;
+        const ENFILE: i32 = 23;
+        const EMFILE: i32 = 24;
+        const ECONNABORTED: i32 = 103;
+        const ENOBUFS: i32 = 105;
+        let at_once = |errno| accept_again_at_once(&io::Error::from_raw_os_error(errno));
+        for errno in [EINTR, ECONNABORTED] {
+            assert!(at_once(errno), "errno {errno}");
+        }
+        for errno in [EAGAIN, ENOMEM, ENFILE, EMFILE, ENOBUFS] {
+            assert!(!at_once(errno), "errno {errno}");
+        }
     }
 }
